@@ -5,9 +5,11 @@ corpus sized to $GRAFT_SF_DIR's scale factor, generation cached and
 untimed) — turns → facts → link → template → dedup → parquet sink.
 Plus per-query timings for representative operators.
 
-  python bench.py               # one run at $RAY_GRAFT_CPUS (default 32)
+  python bench.py               # one run at $RAY_GRAFT_CPUS (default:
+                                # nproc, the CPUs this host gives us)
   python bench.py --scaling     # fresh processes at 8 and 32 CPUs →
                                 # throughput at both + scaling efficiency
+                                # (refuses a leg above nproc)
 
 Owns its Ray session (the only scripts allowed to: bench.py, CLI, tests).
 """
@@ -26,11 +28,20 @@ def _one_json_line(obj) -> None:
     print(json.dumps(obj))
 
 
+def nproc() -> int:
+    """What GNU ``nproc`` prints: ``OMP_NUM_THREADS`` when it is set to
+    a positive number, else the CPUs this process may run on."""
+    omp = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
+    if omp.isdigit() and int(omp) > 0:
+        return int(omp)
+    return len(os.sched_getaffinity(0))
+
+
 def run_bench() -> dict:
     import ray
 
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", nproc()))
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
@@ -189,6 +200,12 @@ def run_scaling() -> None:
     # single-socket memory-bandwidth saturation the 32-core leg hits).
     lo = int(os.environ.get("GRAFT_SCALING_LO", "8"))
     hi = int(os.environ.get("GRAFT_SCALING_HI", "32"))
+    # a leg with more Ray slots than CPUs measures oversubscription,
+    # not scaling
+    if max(lo, hi) > nproc():
+        raise SystemExit(f"bench.py --scaling: a {max(lo, hi)}-CPU leg "
+                         f"needs {max(lo, hi)} CPUs, nproc is {nproc()}; "
+                         "set GRAFT_SCALING_LO/HI")
     r_lo = best_of(lo)
     r_hi = best_of(hi)
     tput_lo = r_lo["turns_per_sec"]

@@ -113,19 +113,37 @@ def cmd_run(args) -> int:
     inp = _select_conversations(args.input, args)
     summary = run_sharded(inp, args.out, n_shards=args.shards,
                           linker_concurrency=args.linker_concurrency)
+    # shards may share entity triples, which read_output collapses:
+    # this sum can exceed the distinct triples the output reads back as
     total = sum(m["triples_out"] for m in summary.values())
     skipped = sum(1 for m in summary.values() if m.get("skipped"))
     print(json.dumps({"out": args.out, "shards": args.shards,
-                      "skipped_shards": skipped, "triples_out": total}))
+                      "skipped_shards": skipped,
+                      "triples_out_per_shard_sum": total}))
     return 0
+
+
+def _read_triples(path: str):
+    """A triples parquet path as one Dataset. A sharded ``run`` output
+    (``shard=*/_MANIFEST.json``) is read through
+    ``manifest.read_output``, which skips the ``_input`` turns copy
+    and unpublished shards and collapses cross-shard duplicates; a
+    plain parquet read would take all of those as triples."""
+    import glob
+
+    import ray.data as rd
+
+    from .pipelines.manifest import MANIFEST_NAME, read_output
+    if glob.glob(os.path.join(glob.escape(path), "shard=*",
+                              MANIFEST_NAME)):
+        return read_output(path)
+    return rd.read_parquet(path)
 
 
 def cmd_serialize(args) -> int:
     _ensure_ray()
-    import ray.data as rd
-
     from .stages.serialize import write_nquads, write_ntriples
-    triples = rd.read_parquet(args.input)
+    triples = _read_triples(args.input)
     if args.format == "nq":
         write_nquads(triples, args.out)
     else:
@@ -173,22 +191,20 @@ def cmd_report(args) -> int:
 def cmd_sparql(args) -> int:
     """Run a textual SPARQL query over a triples parquet directory
     (the engine's own ``run`` output, or any (subj, pred, obj)
-    parquet). SELECT/CONSTRUCT/DESCRIBE/update results stream to
+    parquet; a sharded ``run`` output reads as one deduplicated
+    graph). SELECT/CONSTRUCT/DESCRIBE/update results stream to
     ``--out`` as parquet (or print the first ``--head`` rows); ASK
     prints its boolean. The text layer parses driver-side and
     dispatches to the oracled plan operators — see
     stages/sparql.py for the supported grammar subset."""
     _ensure_ray()
-    import ray.data as rd
-
     from .stages.sparql import run_sparql
 
     query = args.query
     if query.startswith("@"):
         with open(query[1:], encoding="utf-8") as fh:
             query = fh.read()
-    triples = rd.read_parquet(args.triples)
-    res = run_sparql(triples, query)
+    res = run_sparql(_read_triples(args.triples), query)
     if isinstance(res, bool):
         print(json.dumps({"ask": res}))
         return 0

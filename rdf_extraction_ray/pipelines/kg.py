@@ -4,11 +4,16 @@
 
     read_parquet(turns)                       # conv_id, turn_idx, role, text, tool, ts
       → map_batches(detect_facts, pyarrow)     # stateless; text never shuffles
-      → groupby(bucket).map_groups(finalize)   # conversation rules + seq minting (shuffle #1, fact rows only)
+      → sort(bucket).map_batches(finalize)     # conversation rules + seq minting (shuffle #1, fact rows only)
       → map_batches(link)                      # broadcast dicts + fuzzy fallback, cached per process
       → map_batches(build_triples, pandas)     # predicate templating
       → two-level exact dedup                  # combiner + hash shuffle (#2)
       → write_parquet                          # partitioned sink + manifest
+
+Both shuffles go through :func:`stages.dedup.bucket_exchange`: the
+body runs once per sorted BLOCK (many buckets), not once per bucket.
+The default plan fuses finalize → link → template → combiner into one
+such body (:func:`_assemble_bucket`).
 
 Scale notes (100 TB design):
 - the only stage that touches full transcript text is ``detect_facts``
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import ray.data as rd
 
-from ..stages.dedup import dedup_triples
+from ..stages.dedup import bucket_exchange, dedup_bucket, dedup_triples
 from ..stages.extract import (AUTO_SALT_FACTS, detect_facts,
                               finalize_bucket, max_conv_fact_rows,
                               salted_assembly)
@@ -109,8 +114,9 @@ def _cluster_cpus(default: int = 32) -> int:
 def extract_facts(turns: rd.Dataset) -> rd.Dataset:
     """turns → finalized per-conversation fact rows.
 
-    The shuffle key is the conversation-hash BUCKET (not conv_id):
-    B groups, per-conversation logic vectorized inside each group.
+    The shuffle key is the conversation-hash BUCKET (not conv_id), so
+    a conversation never spans two sorted blocks; per-conversation
+    logic runs vectorized inside each block.
     """
     # batch_size=None → one batch per block: full-block vectorization
     # without coalescing blocks away from idle cores (a fixed 32k batch
@@ -120,8 +126,7 @@ def extract_facts(turns: rd.Dataset) -> rd.Dataset:
     # partition count follows the input blocking.
     cands = turns.map_batches(detect_facts, batch_format="pyarrow",
                               batch_size=None)
-    return cands.groupby("bucket").map_groups(
-        finalize_bucket, batch_format="pandas")
+    return bucket_exchange(cands, finalize_bucket)
 
 
 # NOTE when sizing a bounded actor pool here: concurrency × num_cpus
@@ -166,8 +171,9 @@ def link_facts(facts: rd.Dataset, concurrency: int | tuple | None = None,
 
 
 def _assemble_bucket(group):
-    """Fused map_groups body over one conversation-hash bucket:
-    finalize → link → template → dedup-combiner in ONE pandas pass.
+    """Fused exchange body over one sorted block of conversation-hash
+    buckets (whole conversations only, many per call): finalize →
+    link → template → dedup-combiner in ONE pandas pass.
 
     Ray would fuse these operators into one task anyway, but each
     map_batches still pays a pandas↔Arrow block round-trip per
@@ -187,7 +193,8 @@ def triples_from_turns(turns: rd.Dataset,
                        stats_key: str | None = None) -> rd.Dataset:
     """Full transform chain turns → deduped triples (lazy).
 
-    Default: the fused assembly path (one pandas pass per bucket).
+    Default: the fused assembly path (one pandas pass per sorted
+    block).
     With ``linker_concurrency`` the unfused chain runs instead, so the
     linker can be a bounded actor pool (heavy linker state).
     ``stats_key`` (the input's path) enables the skew-probe statistics
@@ -199,16 +206,13 @@ def triples_from_turns(turns: rd.Dataset,
         cands, needs = _route_candidates(turns, AUTO_SALT_FACTS,
                                          stats_key)
         facts = (salted_assembly(cands) if needs
-                 else cands.groupby("bucket").map_groups(
-                     finalize_bucket, batch_format="pandas"))
+                 else bucket_exchange(cands, finalize_bucket))
         linked = link_facts(facts, concurrency=linker_concurrency)
         triples = linked.map_batches(build_triples, batch_format="pandas",
                                      batch_size=None)
         return dedup_triples(triples)
-    from ..stages.dedup import dedup_bucket
-    return _assembled(turns, stats_key=stats_key) \
-        .groupby("bucket").map_groups(dedup_bucket,
-                                      batch_format="pandas")
+    return bucket_exchange(_assembled(turns, stats_key=stats_key),
+                           dedup_bucket)
 
 
 def _link_template_combine(batch):
@@ -335,8 +339,7 @@ def _assembled(turns: rd.Dataset,
                 .map_batches(_link_template_combine,
                              batch_format="pandas",
                              batch_size=None))
-    return cands.groupby("bucket").map_groups(
-        _assemble_bucket, batch_format="pandas")
+    return bucket_exchange(cands, _assemble_bucket)
 
 
 def _route_candidates(turns: rd.Dataset,
@@ -380,7 +383,7 @@ def triples_with_seed(turns: rd.Dataset,
     uber graph, ``Utils/utilities.py:552-556`` — rdflib set semantics
     make the merge idempotent; here the shared dedup stage does)."""
     from ..state.fixtures import seed_triples_table
-    from ..stages.dedup import add_bucket_and_combine, dedup_bucket
+    from ..stages.dedup import add_bucket_and_combine
 
     seed = rd.from_arrow(seed_triples_table()).map_batches(
         add_bucket_and_combine, batch_format="pandas", batch_size=None)
@@ -394,8 +397,7 @@ def triples_with_seed(turns: rd.Dataset,
                                         batch_size=None)
     else:
         assembled = _assembled(turns)
-    return assembled.union(seed).groupby("bucket").map_groups(
-        dedup_bucket, batch_format="pandas")
+    return bucket_exchange(assembled.union(seed), dedup_bucket)
 
 
 def kg_pipeline(turns_path: str, out_dir: str | None = None,

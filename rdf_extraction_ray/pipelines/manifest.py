@@ -31,7 +31,7 @@ import shutil
 import pandas as pd
 
 from .kg import link_facts, read_turns
-from ..stages.dedup import dedup_triples
+from ..stages.dedup import bucket_exchange, dedup_triples
 from ..stages.extract import detect_facts, finalize_bucket
 from ..stages.template import build_triples
 
@@ -154,9 +154,10 @@ def run_sharded(turns_path: str, out_dir: str, n_shards: int = 8,
 
     Returns a summary dict {shard: manifest}. ``shards`` restricts the
     run (used by tests to simulate a mid-run failure). With
-    ``prepartition`` (default) the input is first written
-    hash-partitioned under ``out_dir/_input`` in one pass, so each
-    shard reads only its own partition.
+    ``prepartition`` (default) and more than one shard pending, the
+    input is first written hash-partitioned under ``out_dir/_input``
+    in one pass, so each shard reads only its own partition; a lone
+    pending shard filters the input instead.
     """
     fp = _fingerprint(turns_path)
     os.makedirs(out_dir, exist_ok=True)
@@ -178,10 +179,12 @@ def run_sharded(turns_path: str, out_dir: str, n_shards: int = 8,
         return None
 
     pending = [s for s in todo if _finished(s) is None]
-    # prepartition ONLY when work remains — an all-skipped resume must
-    # not re-copy the corpus just to skip everything
+    # prepartition ONLY when several shards share it: a lone pending
+    # shard (e.g. a resume after one lost shard, once a full run has
+    # deleted _input) filters the input, where re-partitioning would
+    # rewrite the whole corpus to serve that one shard
     part_dir = (_prepartition(turns_path, out_dir, n_shards, fp)
-                if prepartition and pending else None)
+                if prepartition and len(pending) > 1 else None)
     for s in todo:
         m = _finished(s)
         if m is not None:
@@ -232,8 +235,7 @@ def _run_one_shard(turns_path: str, out_dir: str, s: int, n_shards: int,
     cands, needs_salt = _route_candidates(shard_turns,
                                           AUTO_SALT_FACTS, None)
     facts = (salted_assembly(cands) if needs_salt
-             else cands.groupby("bucket").map_groups(
-                 finalize_bucket, batch_format="pandas"))
+             else bucket_exchange(cands, finalize_bucket))
     linked = link_facts(facts, concurrency=linker_concurrency)
 
     # side-channel counters (§2.6 A3): per-batch partials → tiny sum.

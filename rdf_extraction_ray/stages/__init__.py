@@ -1,6 +1,8 @@
 """Pipeline stages (SURVEY.md §7.1).
 
 Stage order: detect (stateless map_batches over turns) → finalize
-(groupby(conv_id).map_groups over candidate facts) → link (actor pool)
-→ template (stateless map_batches) → dedup (hash shuffle).
+(bucket exchange over candidate facts: sort on the conversation-hash
+bucket, one call per sorted block) → link (task or actor pool) →
+template (stateless map_batches) → dedup (the same exchange on the
+triple-hash bucket). The exchange is ``dedup.bucket_exchange``.
 """

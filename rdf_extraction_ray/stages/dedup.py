@@ -9,10 +9,11 @@ a two-level distributed dedup (SURVEY §2.6 A1, §7.4):
    ``drop_duplicates`` inside each ``map_batches`` batch — kills local
    duplicates before anything shuffles — plus a deterministic 64-bit
    row hash bucketed to ``N_DEDUP_BUCKETS``;
-2. **hash shuffle**: ``groupby("bucket").map_groups`` — B groups (not
-   one per distinct triple!), each running one vectorized
-   ``drop_duplicates`` over the full key columns (collision-safe: the
-   hash only routes, equality decides).
+2. **hash shuffle** (:func:`bucket_exchange`): a sort on ``bucket``
+   co-locates every bucket in one block, and one vectorized
+   ``drop_duplicates`` over the full key columns runs per sorted
+   block (many buckets, one call; collision-safe: the hash only
+   routes, equality decides).
 
 Only the first occurrence's provenance ``(conv_id, turn_idx)`` is kept
 (deterministic: min (conv_id, turn_idx) per triple key) so reruns are
@@ -59,8 +60,29 @@ def add_bucket_and_combine(batch: pd.DataFrame):
                      for c in TRIPLE_COLUMNS + ["bucket"]})
 
 
+def bucket_exchange(ds, body):
+    """The KG chain's one keyed exchange: ``body`` runs once per
+    block of ``ds`` sorted on ``bucket``.
+
+    This is ``groupby("bucket").map_groups(body)`` without the
+    per-group loop: under the sort shuffle, Ray's ``map_groups`` is
+    itself a sort on the key followed by ``map_batches`` over whole
+    blocks, and the sort never splits a key across two blocks. So
+    every bucket still reaches ``body`` whole, but with the other
+    buckets of its block, in one pandas frame. Each body must
+    therefore handle many buckets: it keys its own logic on
+    ``conv_id`` or the full triple key, never on the frame. One call
+    per block instead of one per bucket cut a 100-conversation fused
+    build's assembly body from 72 calls (5.1-5.4 s) to 4 (0.6-0.7 s)
+    on one CPU. Empty sort partitions never reach ``body``: Ray's
+    batcher skips empty blocks."""
+    return ds.sort("bucket").map_batches(body, batch_format="pandas",
+                                         batch_size=None)
+
+
 def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body per hash bucket: collision-safe exact dedup,
+    """Exchange body over one sorted block of hash buckets:
+    collision-safe exact dedup on the full triple key,
     deterministic winner = smallest (conv_id, turn_idx)."""
     return (group.sort_values(["conv_id", "turn_idx"], kind="stable")
             .drop_duplicates(TRIPLE_KEY, keep="first")
@@ -71,5 +93,4 @@ def dedup_triples(ds):
     """Compose the two levels on a Dataset of triple rows."""
     ds = ds.map_batches(add_bucket_and_combine, batch_format="pandas",
                         batch_size=None)  # combine per block
-    return ds.groupby("bucket").map_groups(dedup_bucket,
-                                           batch_format="pandas")
+    return bucket_exchange(ds, dedup_bucket)

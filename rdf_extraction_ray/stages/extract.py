@@ -9,8 +9,10 @@ Re-expresses the reference's per-document extractor family
 1. :func:`detect_facts` — a **stateless** ``map_batches`` pass over raw
    turns. All pattern matching happens here, so the heavy ``text``
    column never enters a shuffle. Emits candidate-fact rows (small).
-2. :func:`finalize_bucket` — ``groupby("bucket").map_groups`` over the
-   candidate facts only, where ``bucket = hash(conv_id) % B``. Applies
+2. :func:`finalize_bucket` — the bucket exchange
+   (:func:`stages.dedup.bucket_exchange`: sort on ``bucket``, one call
+   per sorted block) over the candidate facts only, where
+   ``bucket = hash(conv_id) % B``. Applies
    the conversation-scoped rules the reference keeps in module-global
    state — burial gated on a preceding death
    (``birthDeath.py:237-256``), the MOVED occurrence-check quirk
@@ -23,10 +25,11 @@ Re-expresses the reference's per-document extractor family
 Why this shape matters at 100 TB:
 - the wide all-to-all exchange moves only extracted facts (~1-5% of
   input bytes), never transcripts;
-- grouping by hash BUCKET (not by conv_id) means the shuffle has B
-  groups instead of one per conversation — ``map_groups`` overhead is
-  O(B), and all per-conversation logic runs as vectorized pandas
-  groupbys inside a bucket. B scales with cluster cores, not rows.
+- keying the sort on hash BUCKET (not conv_id) keeps every
+  conversation inside one sorted block while the body runs once per
+  BLOCK, not per bucket or conversation — per-call overhead is
+  O(blocks), and all per-conversation logic runs as vectorized pandas
+  groupbys inside the block. B scales with cluster cores, not rows.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ from ..synth import FACT_COLUMNS
 # candidate-fact table = FACT_COLUMNS + detection-order + snippet + bucket
 CAND_COLUMNS = FACT_COLUMNS + ["cand_idx", "snippet", "bucket"]
 
-# conversation-bucket count for the assembly shuffle: the number of
-# groups the finalize stage sees. Sized for parallelism (≥ cluster
-# cores), independent of conversation count.
+# conversation-bucket count for the assembly shuffle: the sort key's
+# cardinality, so the most sort partitions that can hold rows. Sized
+# for parallelism (≥ cluster cores), independent of conversation
+# count.
 N_CONV_BUCKETS = 128
 
 _NAME = r"[A-Z][a-zA-Z]*\.?(?: [A-Z][a-zA-Z]*\.?)*"
@@ -368,10 +372,11 @@ def detect_facts(batch: pa.Table) -> pa.Table:
 
 
 def finalize_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body over ONE conversation-hash bucket of candidate
-    facts (many conversations). All per-conversation logic is
-    vectorized pandas-groupby arithmetic — no per-conversation Python
-    dispatch, so cost is O(rows), not O(conversations).
+    """Exchange body over one sorted block of candidate facts (whole
+    conversations, from any number of buckets). All per-conversation
+    logic is vectorized pandas-groupby arithmetic — no
+    per-conversation Python dispatch, so cost is O(rows), not
+    O(conversations).
 
     Mints dense per-conversation ``seq`` ids in document order under a
     stable ``(conv_id, turn_idx, cand_idx)`` sort — the

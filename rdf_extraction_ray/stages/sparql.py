@@ -916,9 +916,16 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
         # 2. VARIABLE predicates anywhere (the unfiltered scan would
         #    match the synthetic 'urn:x-sparql-closure:N' rows as if
         #    they were real triples — silently wrong solutions)
+        #    — the aggregate subquery's body scans the same augmented
+        #    set, so its patterns count too (a UNION group holds no
+        #    required patterns, and closures inside its branches are
+        #    refused above, so no closure composes with a UNION)
         _composed_zones = list(g["patterns"]) + list(g["optional"]) \
             + list(g["minus"] or []) + list(g["exists"] or []) \
             + list(g["not_exists"] or [])
+        if g["subquery"] is not None:
+            ig = g["subquery"]["group"]
+            _composed_zones += list(ig["patterns"]) + list(ig["optional"])
         if any(len(tuple(p)) == 4 for p in _composed_zones):
             raise NotImplementedError(
                 "GRAPH patterns do not compose with p+/p* (the "

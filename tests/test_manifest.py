@@ -84,6 +84,94 @@ class TestResume:
         summary2 = run_sharded(one, out, n_shards=8)
         assert all(m["skipped"] for m in summary2.values())
 
+    def test_one_lost_shard_resumes_without_repartition(self, tmp_path,
+                                                        monkeypatch):
+        """After a full run (which deletes the ``_input`` copy), losing
+        one shard reruns it from the filtered input: no
+        ``_prepartition`` call, the same turn count and the same rows
+        as the fresh shard."""
+        import shutil
+
+        import pandas as pd
+
+        from rdf_extraction_ray.pipelines import manifest as M
+        turns_dir = synth.write_turns(str(tmp_path / "turns"), 60, seed=9)
+        out = str(tmp_path / "out")
+        fresh = run_sharded(turns_dir, out, n_shards=3)
+        assert not os.path.exists(os.path.join(out, "_input"))
+        lost = os.path.join(out, "shard=1")
+        before = pd.read_parquet(lost)
+        shutil.rmtree(lost)
+
+        calls = []
+        real = M._prepartition
+        monkeypatch.setattr(M, "_prepartition",
+                            lambda *a: calls.append(a) or real(*a))
+        resumed = run_sharded(turns_dir, out, n_shards=3)
+        assert calls == []
+        assert [s for s, m in resumed.items() if not m["skipped"]] == [1]
+        for k in ("turns_in", "facts_linked", "triples_out",
+                  "link_status_histogram"):
+            assert resumed[1][k] == fresh[1][k], k
+        after = pd.read_parquet(lost)
+        assert len(before) > 0
+
+        def rows(df):
+            return df.fillna("").sort_values(list(df.columns),
+                                             ignore_index=True)
+        pd.testing.assert_frame_equal(rows(after), rows(before))
+
+
+def _cli(argv: list[str]) -> dict:
+    """Run the CLI in this process; its last stdout line as JSON. The
+    session's shuffle strategy (which the CLI sets) is restored."""
+    import contextlib
+    import io
+
+    from ray.data import DataContext
+
+    from rdf_extraction_ray.__main__ import main
+    ctx = DataContext.get_current()
+    strategy = ctx.shuffle_strategy
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+    finally:
+        ctx.shuffle_strategy = strategy
+    return json.loads(buf.getvalue().strip().splitlines()[-1])
+
+
+def test_cli_sparql_reads_sharded_run_as_one_graph(tmp_path):
+    """``sparql`` over a 4-shard ``run`` directory counts each distinct
+    triple once, as over the single-pass output (a plain parquet read
+    would count every cross-shard duplicate entity triple)."""
+    import pandas as pd
+
+    from rdf_extraction_ray.pipelines.kg import kg_pipeline
+    turns_dir = synth.write_turns(str(tmp_path / "turns"), 60, seed=9)
+    sharded = str(tmp_path / "sharded")
+    summary = _cli(["run", "--input", turns_dir, "--out", sharded,
+                    "--shards", "4"])
+    single = str(tmp_path / "single")
+    n_single = kg_pipeline(turns_dir, out_dir=single).count()
+    # shards share entity triples, so the per-shard sum overcounts
+    assert summary["triples_out_per_shard_sum"] > n_single
+    query = ("SELECT ?o (COUNT(*) AS ?n) WHERE { ?s "
+             "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?o } "
+             "GROUP BY ?o")
+
+    def counts(triples_dir, name):
+        res = str(tmp_path / name)
+        _cli(["sparql", "--triples", triples_dir, "--query", query,
+              "--out", res])
+        df = pd.read_parquet(res)
+        return dict(zip(df["o"], df["n"]))
+
+    want = counts(single, "single_counts")
+    assert len(want) > 3
+    assert counts(sharded, "sharded_counts") == want
+
 
 def test_cli_curate_end_to_end(tmp_path):
     """CLI curate: quality gate + exact dedup + sharded write."""

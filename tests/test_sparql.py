@@ -783,6 +783,25 @@ class TestRound5ReviewGuards:
                 SELECT ?x WHERE { ?x <p>+ ?y .
                   MINUS { ?x ?q <c> } }""")
 
+    def test_varpred_subquery_does_not_compose_with_closure(self):
+        # the subquery body scans the closure-augmented triples too:
+        # its ?q would count the synthetic closure rows (a silent
+        # 3/2 where 1/1 is right)
+        tr = rd.from_pandas(pd.DataFrame({
+            "subj": ["a", "b"], "pred": ["p", "p"],
+            "obj": ["b", "c"]}))
+        with pytest.raises(NotImplementedError, match="variable"):
+            run_sparql(tr, """
+                SELECT ?x ?n WHERE { ?x <p>+ ?y .
+                  { SELECT ?x (COUNT(*) AS ?n)
+                    WHERE { ?x ?q ?o } GROUP BY ?x } }""")
+        # a UNION group holds no required block for a closure to
+        # compose with; a closure inside a branch is refused
+        with pytest.raises(NotImplementedError, match="required"):
+            run_sparql(tr, """
+                SELECT ?x WHERE { { ?x <p>+ ?y }
+                  UNION { ?x ?q ?o } }""")
+
     def test_nested_graph_is_loud(self):
         with pytest.raises(NotImplementedError, match="nested"):
             parse_sparql("""
