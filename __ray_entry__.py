@@ -1123,18 +1123,15 @@ FROM dedup WHERE rn = 1
 
 def _view_read(base: str, name: str):
     """Cached-view parquet read, block count sized by
-    max(cores, bytes/target) rather than Ray's per-file default: the
-    KG report/graph queries chain hash-bucket exchanges off these
-    reads, and a pull-based sort's cost grows with input-block count
-    squared (224 inherited blocks measured 4.6 s for a 1.4M-row int64
-    exchange vs 1.1 s at 32 blocks). env_override=False: the
-    RDF_READ_BLOCKS transcript knob must not repin view reads."""
+    ``kg._read_num_blocks`` (the slot floor or bytes/target) rather
+    than Ray's per-file default: the KG report/graph queries chain
+    hash-bucket exchanges off these reads, and a pull-based sort's cost
+    grows with input-block count squared (224 inherited blocks measured
+    4.6 s for a 1.4M-row int64 exchange vs 1.1 s at 32 blocks)."""
     import ray.data as rd
     from rdf_extraction_ray.pipelines.kg import _read_num_blocks
     path = os.path.join(base, name)
-    return rd.read_parquet(
-        path,
-        override_num_blocks=_read_num_blocks(path, env_override=False))
+    return rd.read_parquet(path, override_num_blocks=_read_num_blocks(path))
 
 
 def _linked_view(sf_dir: str):

@@ -37,9 +37,30 @@ def nproc() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def host() -> dict:
+    """The conditions a run was measured under: CPUs, the load on the
+    host when it started, and the versions that did the work."""
+    import platform
+
+    import pyarrow
+    import ray
+    return {
+        "nproc": nproc(),
+        "cpu_affinity": sorted(os.sched_getaffinity(0)),
+        "loadavg_at_launch": [round(x, 2) for x in os.getloadavg()],
+        "ray_version": ray.__version__,
+        "pyarrow_version": pyarrow.__version__,
+        "python_version": platform.python_version(),
+    }
+
+
+HEADLINE_REPS = 3
+
+
 def run_bench() -> dict:
     import ray
 
+    launch = host()
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", nproc()))
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
@@ -58,7 +79,9 @@ def run_bench() -> dict:
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
     import __ray_entry__ as entrymod
-    from rdf_extraction_ray.pipelines.kg import read_turns, triples_from_turns
+    from rdf_extraction_ray.pipelines.kg import (_read_num_blocks,
+                                                 read_turns,
+                                                 triples_from_turns)
 
     sf = entrymod._sf_of(sf_dir)
     mult = int(os.environ.get("GRAFT_CORPUS_MULT", "1"))
@@ -88,7 +111,7 @@ def run_bench() -> dict:
     # one session is the cheapest robust estimator
     out_dir = "/tmp/rdf_extraction_ray/bench_out"
     headline_sec = float("inf")
-    for _ in range(3):
+    for _ in range(HEADLINE_REPS):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
         triples = triples_from_turns(read_turns(turns_path),
@@ -100,6 +123,21 @@ def run_bench() -> dict:
     import pyarrow.parquet as pq
     n_triples = sum(pq.read_metadata(f).num_rows
                     for f in glob.glob(os.path.join(out_dir, "*.parquet")))
+    headline = {
+        "metric": "kg_pipeline_sec",
+        "value": round(headline_sec, 3),
+        "unit": "sec",
+        "estimator": f"min of {HEADLINE_REPS}",
+        "reps": HEADLINE_REPS,
+        "sf": sf,
+        "num_cpus": num_cpus,
+        "read_blocks": _read_num_blocks(turns_path),
+        "n_turns": int(n_turns),
+        "n_triples": int(n_triples),
+        "turns_per_sec": round(n_turns / headline_sec, 1),
+        "triples_per_sec": round(n_triples / headline_sec, 1),
+        **launch,
+    }
 
     # representative per-operator timings (pull-based shuffle).
     # GRAFT_HEADLINE_ONLY skips the sweep — the scaling legs compare
@@ -107,18 +145,7 @@ def run_bench() -> dict:
     # would quadruple the wall time for numbers nothing reads.
     if os.environ.get("GRAFT_HEADLINE_ONLY"):
         ray.shutdown()
-        return {
-            "metric": "kg_pipeline_sec",
-            "value": round(headline_sec, 3),
-            "unit": "sec",
-            "queries": {},
-            "sf": sf,
-            "num_cpus": num_cpus,
-            "n_turns": int(n_turns),
-            "n_triples": int(n_triples),
-            "turns_per_sec": round(n_turns / headline_sec, 1),
-            "triples_per_sec": round(n_triples / headline_sec, 1),
-        }
+        return {**headline, "queries": {}}
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PULL_BASED
     # Sweep EVERY queries() entry (auto-derived, so new operators can
     # never silently fall out of the bench), minus the KG end-to-end
@@ -144,19 +171,8 @@ def run_bench() -> dict:
             qerrors[name] = f"{type(exc).__name__}: {exc}"[:200]
 
     ray.shutdown()
-    return {
-        "metric": "kg_pipeline_sec",
-        "value": round(headline_sec, 3),
-        "unit": "sec",
-        "queries": qtimes,
-        **({"query_errors": qerrors} if qerrors else {}),
-        "sf": sf,
-        "num_cpus": num_cpus,
-        "n_turns": int(n_turns),
-        "n_triples": int(n_triples),
-        "turns_per_sec": round(n_turns / headline_sec, 1),
-        "triples_per_sec": round(n_triples / headline_sec, 1),
-    }
+    return {**headline, "queries": qtimes, "query_estimator": "one run",
+            **({"query_errors": qerrors} if qerrors else {})}
 
 
 def run_scaling() -> None:

@@ -170,13 +170,17 @@ def cmd_report(args) -> int:
     if not isinstance(out, pd.DataFrame):
         # Dataset-returning reports: sort DISTRIBUTED (the census can
         # be corpus-growing), then pull only the report head — the
-        # driver never holds more than ``head`` rows.
+        # driver never holds more than ``head`` rows. Each plan runs
+        # once: the report is materialized for its schema (the sort
+        # key), the sort for the count and the head.
         head = int(getattr(args, "head", 0) or 200)
-        schema = out.schema(fetch_if_missing=True)
+        out = out.materialize()
+        schema = out.schema()
         if schema is not None and "n" in schema.names:
             key2 = [c for c in schema.names if c != "n"][:1]
             out = out.sort(["n"] + key2,
-                           descending=[True] + [False] * len(key2))
+                           descending=[True] + [False] * len(key2)
+                           ).materialize()
         total = out.count()
         out = out.limit(head).to_pandas()
         print(out.to_string(index=False))

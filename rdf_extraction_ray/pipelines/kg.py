@@ -48,32 +48,28 @@ from ..stages.template import build_triples
 def read_turns(path: str) -> rd.Dataset:
     """Read the transcript table, pruning to the needed columns.
 
-    Blocks are sized AT THE SOURCE (``override_num_blocks``) so the
-    assembly sort sees ~one block per core: the former
-    ``repartition(cpus)`` coalesce was a full extra all-to-all that
-    measured ~2.5-5 s at 3x sf0.1 / 32 CPUs. The count scales with
-    input bytes (bounded block size) and is clamped below at cluster
-    cores, so at 100 TB the sort partition count grows with data
-    instead of pinning 3 TB in one partition."""
+    Blocks are sized AT THE SOURCE (``override_num_blocks``, see
+    :func:`_read_num_blocks`) so the assembly sort sees the read's
+    blocking: the former ``repartition(cpus)`` coalesce was a full
+    extra all-to-all that measured ~2.5-5 s at 3x sf0.1 / 32 CPUs.
+    Each read block costs one call of every per-block body downstream
+    (detect, assembly, dedup), so the count follows input bytes and
+    the slot count only."""
     return rd.read_parquet(
         path, columns=["conv_id", "turn_idx", "role", "text"],
         override_num_blocks=_read_num_blocks(path))
 
 
-def _read_num_blocks(path: str, env_override: bool = True) -> int | None:
-    """Block count for a parquet read: max(cluster cores,
-    est. in-memory bytes / target block size). None (Ray's default
-    splitting) when the path can't be stat'd. ``RDF_READ_BLOCKS``
-    overrides when ``env_override`` (the TRANSCRIPT-read ops knob —
-    the assembly sort's reducer count follows that blocking); cached
-    view readers pass False so the knob cannot re-introduce their
-    blocks²-cost pull-sort regression."""
+def _read_num_blocks(path: str) -> int | None:
+    """Block count for a parquet read: max(slot floor, est. in-memory
+    bytes / target block size), where the slot floor is two blocks per
+    CPU slot up to 16 slots and one per slot above. A 1-slot cluster
+    therefore reads 2 blocks, an 8-slot one 16, a 32-slot one 32, and
+    a file past the bytes term splits further on any width. None
+    (Ray's default splitting) when the path can't be stat'd."""
     import os
 
     from ray.data import DataContext
-    env = os.environ.get("RDF_READ_BLOCKS")
-    if env and env_override:
-        return max(1, int(env))
     try:
         if os.path.isdir(path):
             total = sum(e.stat().st_size for e in os.scandir(path)
@@ -105,9 +101,11 @@ def _read_num_blocks(path: str, env_override: bool = True) -> int | None:
 
 
 def _cluster_cpus(default: int = 32) -> int:
+    """CPU slots of the running cluster (``default`` without one). At
+    least 1, so a 0-CPU head node still gets a positive block count."""
     import ray
     if ray.is_initialized():
-        return max(2, int(ray.cluster_resources().get("CPU", default)))
+        return max(1, int(ray.cluster_resources().get("CPU", default)))
     return default
 
 

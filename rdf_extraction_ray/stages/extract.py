@@ -179,104 +179,96 @@ _BIRTH_CERT = {"on": "CERT", "by": "BY", "after": "AFTER",
                "around": "ROUGHLYDATED"}
 
 
+def _anchors(anchor: str | tuple) -> tuple:
+    return (anchor,) if isinstance(anchor, str) else anchor
+
+
+def _facts(fact_type: str, m: re.Match, const: dict) -> list[dict]:
+    """Candidate facts of one pattern match (without conv context)."""
+    g = {k: v for k, v in m.groupdict().items() if v is not None}
+    g.update(const)
+    if fact_type == "occupation":
+        g["category"] = "paid" if g.pop("verb") == "worked" else "volunteer"
+    elif fact_type == "location":
+        g["category"] = _LOC_VERB[g.pop("verb")]
+    elif fact_type == "birth":
+        g["certainty"] = _BIRTH_CERT[g.pop("marker")]
+    elif fact_type == "childlessness":
+        g["category"] = _classify_childlessness(g.pop("word"))
+    elif fact_type == "culturalform" and "marker" in g:
+        # language competence marker → predicate choice downstream
+        g["certainty"] = g.pop("marker").upper()
+    elif fact_type in ("moved", "migration"):
+        # one sentence → two location candidates; the second
+        # ('leaving'/'from') is occurrence-filtered in finalize
+        to_cat, from_cat = (("relocation", "spatialRelationship")
+                            if fact_type == "moved"
+                            else ("migration", "emigration"))
+        return [
+            {"fact_type": "location", "person": g["person"],
+             "place": g["place"], "category": to_cat},
+            {"fact_type": "location", "person": g["person"],
+             "place": g["place2"], "category": from_cat},
+        ]
+    g["fact_type"] = fact_type
+    return [g]
+
+
 def _detect_one(text: str) -> list[dict]:
     """All candidate facts for one turn text (without conv context)."""
     m = _SUBJECT.match(text)
     if m:
-        return [{"fact_type": "_subject", "person": m.group("person")}]
+        return _facts("_subject", m, {})
     for fact_type, pat, const, anchor in _PATTERNS:
-        if anchor is not None:
-            anchors = (anchor,) if isinstance(anchor, str) else anchor
-            if not any(a in text for a in anchors):
-                continue
-        m = pat.match(text)
-        if not m:
+        if anchor is not None and not any(a in text
+                                          for a in _anchors(anchor)):
             continue
-        g = {k: v for k, v in m.groupdict().items() if v is not None}
-        g.update(const)
-        if fact_type == "occupation":
-            g["category"] = "paid" if g.pop("verb") == "worked" else "volunteer"
-        elif fact_type == "location":
-            g["category"] = _LOC_VERB[g.pop("verb")]
-        elif fact_type == "birth":
-            g["certainty"] = _BIRTH_CERT[g.pop("marker")]
-        elif fact_type == "childlessness":
-            g["category"] = _classify_childlessness(g.pop("word"))
-        elif fact_type == "culturalform" and "marker" in g:
-            # language competence marker → predicate choice downstream
-            g["certainty"] = g.pop("marker").upper()
-        elif fact_type == "moved":
-            # one MOVED sentence → relocation(to) + spatialRelationship
-            # candidate(leaving); the latter is occurrence-filtered later
-            to_p, from_p = g.pop("place"), g.pop("place2")
-            return [
-                {"fact_type": "location", "person": g["person"],
-                 "place": to_p, "category": "relocation"},
-                {"fact_type": "location", "person": g["person"],
-                 "place": from_p, "category": "spatialRelationship"},
-            ]
-        elif fact_type == "migration":
-            to_p, from_p = g.pop("place"), g.pop("place2")
-            return [
-                {"fact_type": "location", "person": g["person"],
-                 "place": to_p, "category": "migration"},
-                {"fact_type": "location", "person": g["person"],
-                 "place": from_p, "category": "emigration"},
-            ]
-        g["fact_type"] = fact_type
-        return [g]
+        m = pat.match(text)
+        if m:
+            return _facts(fact_type, m, const)
     return []
-
-
-def _snippets_arrow(texts, max_words: int):
-    """Reference CONTEXT-SNIPPET rule (SURVEY M23): whole sentences
-    until the accumulated text reaches ~``max_words`` words —
-    ``limit_to_full_sentences``, the limiter the reference's context
-    builder uses (cwrc/RDF-extraction Utils/context.py:264,
-    activity.py:248), NOT ``limit_words`` (that is the PROFILE
-    rule, Writing/writing_extraction.py:33 — see template.py). The
-    Python call runs once per UNIQUE matched turn (the caller dedups
-    positions first), so the cost is bounded by matched candidates,
-    not corpus rows; the SQL oracle replays the identical
-    sentence-accumulation rule with a windowed prefix-space count."""
-    from ..functions.text import limit_to_full_sentences
-    return np.array([limit_to_full_sentences(s, max_words)
-                     for s in texts.to_pylist()], dtype=object)
-
-
-def _empty_cand_table() -> pa.Table:
-    return pa.table({c: pa.array([], pa.int32()
-                                 if c in ("turn_idx", "seq", "cand_idx",
-                                          "bucket") else pa.string())
-                     for c in CAND_COLUMNS})
 
 
 def detect_facts(batch: pa.Table) -> pa.Table:
     """Stateless map_batches body: turns → candidate fact rows.
 
-    Fully vectorized, first-match-wins over the ordered pattern list:
-    per pattern, a C-level literal-anchor ``pyarrow.compute
-    .match_substring`` mask over the still-unmatched rows, then
-    ``str.extract`` (regex group capture) on the survivors only —
-    which are almost all true matches, so regex work is ~one
-    successful match per candidate row. Per-row semantics are pinned
-    to :func:`_detect_one` by a differential test.
+    First-match-wins over the ordered pattern list: per pattern, a
+    C-level literal-anchor ``pyarrow.compute.match_substring`` mask
+    over the still-unmatched rows, then ``re.match`` on the survivors
+    only — which are almost all true matches, so regex work is ~one
+    successful match per candidate row. The fact rows are collected as
+    plain lists and become ONE Arrow table per call (a pandas frame
+    per pattern was most of a call's fixed cost). Per-row semantics
+    are pinned to :func:`_detect_one` by a differential test.
     """
     import pyarrow.compute as pc
 
-    # null text rows carry no facts but must not carry the stage
-    # down with them: pc.match_substring(null) is null, and the
-    # object-array boolean algebra below would raise TypeError on
-    # the first None — one null transcript row would abort the whole
-    # extract job (nulls coalesce to "", which matches no anchor)
-    text_arr = pc.fill_null(batch.column("text"), "")
-    text = text_arr.to_pandas()
-    role = batch.column("role").to_numpy(zero_copy_only=False)
-    parts: list[pd.DataFrame] = []
+    from ..functions.text import limit_to_full_sentences
 
-    def _anchor_mask(anchors) -> np.ndarray:
+    # null text rows carry no facts but must not abort the whole
+    # extract job: pc.match_substring(null) is null, and a None in
+    # the boolean masks below would raise (nulls coalesce to "",
+    # which matches no anchor)
+    text_arr = pc.fill_null(batch.column("text"), "")
+    text = text_arr.to_numpy(zero_copy_only=False)
+    role = batch.column("role").to_numpy(zero_copy_only=False)
+    pos: list[int] = []
+    rows: list[dict] = []
+
+    def _scan(cand: np.ndarray, fact_type: str, pat: re.Pattern,
+              const: dict):
+        for i in np.flatnonzero(cand):
+            m = pat.match(text[i])
+            if m:
+                unmatched[i] = False
+                for ci, f in enumerate(_facts(fact_type, m, const)):
+                    f["cand_idx"] = ci
+                    pos.append(i)
+                    rows.append(f)
+
+    def _anchor_mask(anchor) -> np.ndarray:
         m = None
-        for a in (anchors,) if isinstance(anchors, str) else anchors:
+        for a in _anchors(anchor):
             am = pc.match_substring(text_arr, a).to_numpy(
                 zero_copy_only=False)
             m = am if m is None else (m | am)
@@ -285,86 +277,39 @@ def detect_facts(batch: pa.Table) -> pa.Table:
     # subject declaration is checked FIRST for both roles (as in
     # _detect_one); user turns can ONLY yield _subject
     unmatched = (role == "user") | (role == "assistant")
-    sub_anchor = unmatched & _anchor_mask("Tell me about ")
-    if sub_anchor.any():
-        ext = text[sub_anchor].str.extract(_SUBJECT)
-        hidx = ext.index[ext["person"].notna()]
-        if len(hidx):
-            parts.append(pd.DataFrame({
-                "__pos": hidx, "fact_type": "_subject",
-                "person": ext.loc[hidx, "person"], "cand_idx": 0}))
-            unmatched[hidx] = False
+    _scan(unmatched & _anchor_mask("Tell me about "), "_subject",
+          _SUBJECT, {})
     unmatched &= role == "assistant"
-
     for fact_type, pat, const, anchor in _PATTERNS:
         if not unmatched.any():
             break
-        cand = unmatched if anchor is None \
-            else unmatched & _anchor_mask(anchor)
-        if not cand.any():
-            continue
-        sel = text[cand]
-        ext = sel.str.extract(pat)
-        g = ext[ext.notna().any(axis=1)]
-        if not len(g):
-            continue
-        g = g.copy()
-        hidx = g.index
-        unmatched[hidx] = False
-        for k, v in const.items():
-            g[k] = v
-        if fact_type == "occupation":
-            g["category"] = np.where(g.pop("verb") == "worked",
-                                     "paid", "volunteer")
-        elif fact_type == "location":
-            g["category"] = g.pop("verb").map(_LOC_VERB)
-        elif fact_type == "birth":
-            g["certainty"] = g.pop("marker").map(_BIRTH_CERT)
-        elif fact_type == "childlessness":
-            words = g.pop("word")
-            g["category"] = words.map(
-                {w: _classify_childlessness(w) for w in pd.unique(words)})
-        elif fact_type == "culturalform" and "marker" in g.columns:
-            # language competence marker → predicate choice downstream
-            g["certainty"] = g.pop("marker").str.upper()
-        if fact_type in ("moved", "migration"):
-            # one sentence → two location candidates; the second
-            # ('leaving'/'from') is occurrence-filtered in finalize
-            to_cat, from_cat = (
-                ("relocation", "spatialRelationship")
-                if fact_type == "moved" else ("migration", "emigration"))
-            for ci, (pcol, cat) in enumerate(
-                    (("place", to_cat), ("place2", from_cat))):
-                parts.append(pd.DataFrame({
-                    "__pos": hidx, "fact_type": "location",
-                    "person": g["person"].to_numpy(),
-                    "place": g[pcol].to_numpy(),
-                    "category": cat, "cand_idx": ci}))
-        else:
-            g["fact_type"] = fact_type
-            g["cand_idx"] = 0
-            g["__pos"] = hidx
-            parts.append(g)
+        _scan(unmatched if anchor is None
+              else unmatched & _anchor_mask(anchor), fact_type, pat, const)
 
-    if not parts:
-        return _empty_cand_table()
-    out = pd.concat(parts, ignore_index=True)
-    pos = out["__pos"].to_numpy()
-    out["conv_id"] = batch.column("conv_id").to_pandas().to_numpy()[pos]
-    out["turn_idx"] = batch.column("turn_idx").to_pandas().to_numpy()[pos]
-    out["seq"] = -1  # minted in finalize
+    pos = np.asarray(pos, dtype=np.int64)
+    conv = batch.column("conv_id").to_numpy(zero_copy_only=False)[pos]
+    # Reference CONTEXT-SNIPPET rule (SURVEY M23): whole sentences
+    # until ~_MAX_SNIPPET_WORDS words — ``limit_to_full_sentences``,
+    # the limiter of the reference's context builder
+    # (cwrc/RDF-extraction Utils/context.py:264, activity.py:248), NOT
+    # ``limit_words`` (the PROFILE rule, see template.py). It runs once
+    # per UNIQUE matched turn, so its cost is bounded by matched
+    # candidates, not corpus rows; the SQL oracle replays the same
+    # sentence-accumulation rule.
     upos = np.unique(pos)
-    snips = _snippets_arrow(pc.take(text_arr, pa.array(upos)),
-                            _MAX_SNIPPET_WORDS)
-    out["snippet"] = snips[np.searchsorted(upos, pos)]
-    # deterministic conversation bucket (the assembly-shuffle key)
-    out["bucket"] = (pd.util.hash_pandas_object(
-        out["conv_id"].astype("object"), index=False)
-        % N_CONV_BUCKETS).astype("int32")
-    for c in CAND_COLUMNS:
-        if c not in out.columns:
-            out[c] = None
-    return pa.table({c: pa.array(out[c],
+    snips = np.array([limit_to_full_sentences(s, _MAX_SNIPPET_WORDS)
+                      for s in text[upos]], dtype=object)
+    cols = {c: [r.get(c) for r in rows] for c in CAND_COLUMNS}
+    cols.update(
+        conv_id=conv,
+        turn_idx=batch.column("turn_idx").to_numpy()[pos],
+        seq=np.full(len(pos), -1),  # minted in finalize
+        snippet=snips[np.searchsorted(upos, pos)],
+        # deterministic conversation bucket (the assembly-shuffle key)
+        bucket=pd.util.hash_pandas_object(pd.Series(conv, dtype=object),
+                                          index=False).to_numpy()
+        % N_CONV_BUCKETS)
+    return pa.table({c: pa.array(cols[c],
                                  pa.int32() if c in ("turn_idx", "seq",
                                                      "cand_idx", "bucket")
                                  else pa.string(), from_pandas=True)

@@ -275,12 +275,18 @@ class _Parser:
             g["union"] = [(b["patterns"], b["optional"] or None)
                           for b in branches]
             return g
+        dot_ok = False
         while self._peek()[1] != "}":
-            if self._peek()[1] == ".":
-                # SPARQL allows an optional '.' after any group
-                # pattern (OPTIONAL/GRAPH/FILTER blocks etc.)
+            if self._peek() == ("punct", "."):
+                # SPARQL allows one optional '.' after any group
+                # pattern (OPTIONAL/GRAPH/FILTER blocks etc.); a
+                # leading or doubled '.' is a syntax error
+                if not dot_ok:
+                    raise SyntaxError("unexpected '.' in group pattern")
                 self._next()
+                dot_ok = False
                 continue
+            dot_ok = True
             kw = self._kw()
             if kw == "optional":
                 self._next()
@@ -355,6 +361,8 @@ class _Parser:
                 self._expect("}")
             else:
                 self._parse_triples_block(g["patterns"])
+                # the block consumed its own trailing '.'
+                dot_ok = self.toks[self.i - 1] != ("punct", ".")
         self._expect("}")
         return g
 

@@ -67,41 +67,50 @@ _LABEL = NS["rdfs"] + "label"
 
 
 class _Emitter:
-    """Accumulates homogeneous triple column-arrays cheaply."""
+    """Accumulates homogeneous triple column-arrays cheaply: each
+    :meth:`emit` keeps only its masked, non-null numpy columns (a
+    scalar stays a scalar), and :meth:`frame` / :meth:`table` build
+    ONE frame or table per call from their concatenation — a pandas
+    frame per emit was most of a call's fixed cost."""
 
     def __init__(self):
-        self.parts: list[pd.DataFrame] = []
+        self.parts: list[tuple[int, list]] = []
 
     def emit(self, subj, pred, obj, kind="uri", lang="", dtype="",
              conv=None, tidx=None, mask=None):
-        """Each arg is a Series/array (aligned) or scalar; mask selects."""
-        df = pd.DataFrame({
-            "subj": subj, "pred": pred, "obj": obj, "obj_kind": kind,
-            "obj_lang": lang, "obj_datatype": dtype,
-            "conv_id": conv, "turn_idx": tidx,
-        })
-        if mask is not None:
-            df = df[np.asarray(mask)]
-        df = df[df["obj"].notna() & df["subj"].notna()]
-        if len(df):
-            self.parts.append(df)
+        """Each arg is a Series/array (aligned by position) or scalar;
+        mask selects. Rows with a null ``subj`` or ``obj`` are dropped."""
+        cols = [c if np.ndim(c) == 0 else np.asarray(c)
+                for c in (subj, pred, obj, kind, lang, dtype, conv, tidx)]
+        n = next(len(c) for c in cols if np.ndim(c))
+        keep = (np.ones(n, bool) if mask is None
+                else np.asarray(mask, bool).copy())
+        for c in cols[0], cols[2]:
+            keep &= pd.notna(c)
+        k = int(keep.sum())
+        if k:
+            self.parts.append((k, [c if np.ndim(c) == 0 else c[keep]
+                                   for c in cols]))
+
+    def _columns(self) -> dict:
+        return {name: np.concatenate([
+                    cols[j] if np.ndim(cols[j])
+                    else np.full(k, cols[j], dtype=object)
+                    for k, cols in self.parts])
+                for j, name in enumerate(TRIPLE_COLUMNS)}
 
     def frame(self) -> pd.DataFrame:
         if not self.parts:
             return pd.DataFrame(columns=TRIPLE_COLUMNS)
-        return pd.concat(self.parts, ignore_index=True)[TRIPLE_COLUMNS]
+        return pd.DataFrame(self._columns())
 
     def table(self) -> pa.Table:
-        if not self.parts:
-            return pa.table({c: pa.array([], pa.int32() if c == "turn_idx"
-                                         else pa.string())
-                             for c in TRIPLE_COLUMNS})
-        out = pd.concat(self.parts, ignore_index=True)
+        cols = (self._columns() if self.parts
+                else dict.fromkeys(TRIPLE_COLUMNS, []))
         return pa.table({
-            c: pa.array(out[c], from_pandas=True,
+            c: pa.array(v, from_pandas=True,
                         type=pa.int32() if c == "turn_idx" else pa.string())
-            for c in TRIPLE_COLUMNS
-        })
+            for c, v in cols.items()})
 
 
 def _date_columns(dates: pd.Series) -> tuple[list, list, list, list]:

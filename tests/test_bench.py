@@ -33,3 +33,15 @@ def test_scaling_refuses_a_leg_above_nproc(monkeypatch):
     monkeypatch.setattr(bench.subprocess, "run", run)
     with pytest.raises(SystemExit, match="nproc"):
         bench.run_scaling()
+
+
+def test_host_describes_the_run():
+    import platform
+
+    import pyarrow
+    import ray
+    h = bench.host()
+    assert h["nproc"] == bench.nproc()
+    assert h["cpu_affinity"] and len(h["loadavg_at_launch"]) == 3
+    assert (h["ray_version"], h["pyarrow_version"], h["python_version"]) \
+        == (ray.__version__, pyarrow.__version__, platform.python_version())

@@ -96,19 +96,20 @@ class TestDetection:
         assert _one("What happened next?") == []
         assert _one("The records are unclear on this point.") == []
 
-    def test_detect_facts_matches_detect_one(self):
-        """Differential: the vectorized batch detector must produce
-        exactly the rows the scalar spec (_detect_one) produces, over a
-        synth corpus that exercises every pattern."""
-        from rdf_extraction_ray import synth
-        from rdf_extraction_ray.functions.text import limit_words, limit_to_full_sentences
-        turns, _ = synth.generate(60, seed=13, mega_every=0)
+    @staticmethod
+    def _assert_matches_detect_one(turns):
+        """The batch detector's rows equal the rows the scalar spec
+        (_detect_one) gives turn by turn; a null text carries no
+        facts."""
+        from rdf_extraction_ray.functions.text import limit_to_full_sentences
         got = detect_facts(turns).to_pandas()
         exp_rows = []
         for cid, ti, ro, tx in zip(turns.column("conv_id").to_pylist(),
                                    turns.column("turn_idx").to_pylist(),
                                    turns.column("role").to_pylist(),
                                    turns.column("text").to_pylist()):
+            if tx is None:
+                continue
             if ro == "user":
                 cands = [c for c in _detect_one(tx)
                          if c["fact_type"] == "_subject"]
@@ -122,12 +123,56 @@ class TestDetection:
                 row.update(conv_id=cid, turn_idx=ti, seq=-1, cand_idx=ci,
                            snippet=limit_to_full_sentences(tx, 35))
                 exp_rows.append(row)
-        exp = pd.DataFrame(exp_rows)
+        exp = pd.DataFrame(exp_rows, columns=CAND_COLUMNS)
         cols = [c for c in CAND_COLUMNS if c != "bucket"]
         key = ["conv_id", "turn_idx", "cand_idx"]
         g = got[cols].sort_values(key, ignore_index=True).fillna("")
         e = exp[cols].sort_values(key, ignore_index=True).fillna("")
         pd.testing.assert_frame_equal(g, e, check_dtype=False)
+        return got
+
+    def test_detect_facts_matches_detect_one(self):
+        """Differential over a synth corpus that exercises every
+        pattern."""
+        from rdf_extraction_ray import synth
+        turns, _ = synth.generate(60, seed=13, mega_every=0)
+        self._assert_matches_detect_one(turns)
+
+    def test_detect_facts_matches_detect_one_edge_cases(self):
+        texts = [
+            ("user", "Tell me about Zoë Ångström."),
+            ("assistant", None),
+            # $ matches before one trailing newline in Python re
+            ("assistant", "Margaret Blake was born on 1851 in Bath, Somerset.\n"),
+            ("user", "Tell me about Margaret Blake.\n"),
+            # non-ASCII names fall outside _NAME; non-ASCII fields match
+            ("assistant", "Zoë Ångström was born on 1851 in Bath, Somerset."),
+            ("assistant", "Zoe Smith was born on 1851 in Zürich, Schweiz."),
+            ("assistant", "Zoe Smith's gender was fémale."),
+            # matches location AND event: the earlier pattern wins
+            ("assistant", "On Ann visited Bath, a fair took place in Wells."),
+            ("assistant", "Ann Lee moved to Bath, Somerset, leaving Frome, Somerset.\n"),
+        ]
+        turns = pa.table({
+            "conv_id": ["c1"] * len(texts),
+            "turn_idx": pa.array(range(len(texts)), pa.int32()),
+            "role": [r for r, _ in texts],
+            "text": pa.array([t for _, t in texts], pa.string()),
+        })
+        got = self._assert_matches_detect_one(turns).sort_values(
+            ["turn_idx", "cand_idx"], ignore_index=True)
+        facts = list(zip(got["turn_idx"], got["fact_type"], got["category"]))
+        assert facts == [
+            (2, "birth", None), (3, "_subject", None), (5, "birth", None),
+            (6, "culturalform", "gender"), (7, "location", "visit"),
+            (8, "location", "relocation"),
+            (8, "location", "spatialRelationship")]
+        assert got.loc[0, "place"] == "Bath, Somerset"
+        assert got.loc[2, "place"] == "Zürich, Schweiz"
+        assert got.loc[3, "term"] == "fémale"
+        # a block without facts keeps the candidate schema
+        assert detect_facts(turns.slice(1, 1)).schema == \
+            detect_facts(turns).schema
 
     def test_detect_facts_batch_shape(self):
         tbl = pa.table({

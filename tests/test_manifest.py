@@ -204,3 +204,46 @@ def test_cli_curate_end_to_end(tmp_path):
     got = pd.read_parquet(out)
     assert sorted(got["doc_id"]) == [0, 2, 5]
     assert {d for d in os.listdir(out) if d.startswith("shard=")}
+
+
+def test_cli_report_runs_the_report_once(tmp_path, monkeypatch):
+    """``report`` executes the report plan once, not once for its
+    schema, once for its row count and once for its head."""
+    import contextlib
+    import io
+    import uuid
+
+    import pandas as pd
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from rdf_extraction_ray.__main__ import main
+    from rdf_extraction_ray.pipelines import reports
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def body(df):
+        (calls / uuid.uuid4().hex).touch()
+        return df
+
+    census = pd.DataFrame({"title_norm": list("abcde"),
+                           "n": [3, 5, 1, 5, 2],
+                           "convs": ["c1"] * 5})
+    monkeypatch.setattr(reports, "title_census", lambda facts: (
+        rd.from_pandas(census).map_batches(body, batch_format="pandas",
+                                           batch_size=None)))
+    turns_dir = synth.write_turns(str(tmp_path / "turns"), 5, seed=9)
+    ctx = DataContext.get_current()
+    strategy = ctx.shuffle_strategy
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            assert main(["report", "--input", turns_dir, "--kind",
+                         "titles", "--head", "2"]) == 0
+    finally:
+        ctx.shuffle_strategy = strategy
+    assert len(list(calls.iterdir())) == 1
+    lines = buf.getvalue().splitlines()
+    assert lines[1].split()[:2] == ["b", "5"]
+    assert lines[2].split()[:2] == ["d", "5"]
+    assert lines[3].startswith("... 3 more rows")

@@ -508,10 +508,43 @@ class TestReadBlockFloor:
         assert kg._read_num_blocks(p) == 16
         monkeypatch.setattr(kg, "_cluster_cpus", lambda default=32: 32)
         assert kg._read_num_blocks(p) == 32
-        # the env knob still overrides the transcript read only
-        monkeypatch.setenv("RDF_READ_BLOCKS", "5")
-        assert kg._read_num_blocks(p) == 5
-        assert kg._read_num_blocks(p, env_override=False) == 32
+
+    @staticmethod
+    def _fake_cpus(monkeypatch, cpus):
+        import ray
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda: {"CPU": float(cpus)})
+
+    def test_one_slot_reads_two_blocks(self, tmp_path, monkeypatch):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from rdf_extraction_ray.pipelines import kg
+        p = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({"a": [1, 2, 3]}), p)
+        self._fake_cpus(monkeypatch, 1)
+        assert kg._read_num_blocks(p) == 2
+        # a 0-CPU head node still reads at least one block
+        self._fake_cpus(monkeypatch, 0)
+        assert kg._read_num_blocks(p) >= 1
+
+    def test_one_slot_splits_past_the_bytes_term(self, tmp_path,
+                                                  monkeypatch):
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        from ray.data import DataContext
+
+        from rdf_extraction_ray.pipelines import kg
+        p = str(tmp_path / "t.parquet")
+        pq.write_table(pa.table({"a": [str(i) * 40 for i in range(400)]}),
+                       p, compression="none")
+        monkeypatch.setattr(DataContext.get_current(),
+                            "target_max_block_size", 1024)
+        self._fake_cpus(monkeypatch, 1)
+        n = kg._read_num_blocks(p)
+        assert n == -(-os.path.getsize(p) * 4 // 2048) and n > 2
 
 
 class TestStarBGP:

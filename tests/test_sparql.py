@@ -179,12 +179,29 @@ class TestParserErrors:
         ("SELECT ?x WHERE { ?x <p> ?y } LIMIT x", SyntaxError),
         ("FROB ?x WHERE { }", SyntaxError),
         ("SELECT ?x WHERE { ?x ex:p ?y }", SyntaxError),  # no PREFIX
+        ("SELECT ?x WHERE { . ?x <p> ?y }", SyntaxError),
+        ("SELECT ?x WHERE { ?x <p> ?y . . }", SyntaxError),
+        ("SELECT ?x WHERE { ?x <p> ?y . . ?x <q> ?z }", SyntaxError),
+        ("SELECT ?x WHERE { OPTIONAL { ?x <p> ?y } . . }", SyntaxError),
+        ("SELECT ?x WHERE { ?x <p> ?y OPTIONAL { . ?x <q> ?z } }",
+         SyntaxError),
         ('SELECT (GROUP_CONCAT(?v; SEPARATOR=";") AS ?a) '
          'WHERE { ?x <p> ?v }', NotImplementedError),
     ])
     def test_loud_errors(self, q, err):
         with pytest.raises(err):
             run_sparql(_triples(), q)
+
+    @pytest.mark.parametrize("body", [
+        '?s ?p ?o .',
+        '?s ?p ?o . OPTIONAL { ?s <q> ?z } .',
+        'OPTIONAL { ?s <q> ?z } . ?s ?p ?o',
+        '?s ?p "." . FILTER(?o != "x") .',
+    ])
+    def test_one_dot_after_a_pattern_parses(self, body):
+        q = parse_sparql("SELECT ?s WHERE { " + body + " }")
+        assert ("?s", "?p", "?o") in q["group"]["patterns"] or \
+            ("?s", "?p", ".") in q["group"]["patterns"]
 
     def test_comments_and_literals_tokenize(self):
         q = parse_sparql("""# find alice
