@@ -60,24 +60,28 @@ def add_bucket_and_combine(batch: pd.DataFrame):
                      for c in TRIPLE_COLUMNS + ["bucket"]})
 
 
-def bucket_exchange(ds, body):
-    """The KG chain's one keyed exchange: ``body`` runs once per
-    block of ``ds`` sorted on ``bucket``.
+def bucket_exchange(ds, body, key: str = "bucket",
+                    batch_format: str = "pandas"):
+    """The engine's one keyed exchange: ``body`` runs once per block
+    of ``ds`` sorted on ``key``, in ``batch_format`` (``"pandas"`` or
+    ``"pyarrow"``).
 
-    This is ``groupby("bucket").map_groups(body)`` without the
-    per-group loop: under the sort shuffle, Ray's ``map_groups`` is
-    itself a sort on the key followed by ``map_batches`` over whole
-    blocks, and the sort never splits a key across two blocks. So
-    every bucket still reaches ``body`` whole, but with the other
-    buckets of its block, in one pandas frame. Each body must
-    therefore handle many buckets: it keys its own logic on
-    ``conv_id`` or the full triple key, never on the frame. One call
-    per block instead of one per bucket cut a 100-conversation fused
-    build's assembly body from 72 calls (5.1-5.4 s) to 4 (0.6-0.7 s)
-    on one CPU. Empty sort partitions never reach ``body``: Ray's
-    batcher skips empty blocks."""
-    return ds.sort("bucket").map_batches(body, batch_format="pandas",
-                                         batch_size=None)
+    This is ``groupby(key).map_groups(body)`` without the per-group
+    loop: under the sort shuffle, Ray's ``map_groups`` is itself a
+    sort on the key followed by ``map_batches`` over whole blocks,
+    and the sort never splits a key across two blocks. So every key
+    value (a hash bucket, in every caller) still reaches ``body``
+    whole, but with the other keys of its block, in one frame or
+    table. Each body must therefore handle many keys at once: it
+    keys its own logic on the rows it partitions (``conv_id``, the
+    full triple key, a join key, the GROUP BY columns), never on the
+    frame. One call per block instead of one per bucket cut a
+    100-conversation fused build's assembly body from 72 calls
+    (5.1-5.4 s) to 4 (0.6-0.7 s) on one CPU. Empty sort partitions
+    never reach ``body``: Ray passes a zero-row block through a map
+    without calling its function."""
+    return ds.sort(key).map_batches(body, batch_format=batch_format,
+                                    batch_size=None)
 
 
 def dedup_bucket(group: pd.DataFrame) -> pd.DataFrame:

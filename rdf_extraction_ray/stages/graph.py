@@ -42,6 +42,8 @@ import numpy as np
 import pandas as pd
 import ray.data as rd
 
+from .dedup import bucket_exchange
+
 SCALE = 10**9  # rank fixed-point unit: 1e-9
 DAMP_NUM, DAMP_DEN = 85, 100
 
@@ -2049,7 +2051,8 @@ def bgp_match(triples: rd.Dataset,
               limit: int | None = None,
               binds: list[tuple[tuple, str]] | None = None,
               n_buckets: int = 64,
-              broadcast_rows: int = 1_000_000) -> rd.Dataset:
+              broadcast_rows: int = 1_000_000,
+              typed_seed: bool = True) -> rd.Dataset:
     """General SPARQL basic-graph-pattern match over the triple set.
 
     Each pattern is ``(s, p, o)`` — or ``(s, p, o, g)`` for a
@@ -2158,6 +2161,12 @@ def bgp_match(triples: rd.Dataset,
     row-hash-bucket exchange. Constants-only patterns act as
     existence gates (SPARQL ASK semantics): zero matches anywhere
     empties the result.
+
+    The output leads with a typed zero-row block, so that zero
+    bindings still carry the schema. ``typed_seed=False`` leaves it
+    out, for callers that map the bindings further: Ray maps a
+    zero-row block to a schema-less one, which then changes the
+    block schema mid-stream.
 
     The reference answers such queries by loading the whole corpus
     into one in-RAM rdflib graph and walking it pattern by pattern
@@ -2409,15 +2418,19 @@ def bgp_match(triples: rd.Dataset,
                                  batch_format="pandas").materialize()
 
     # exact per-pattern row counts off the (materialized, already
-    # pattern-pruned) scan — one cheap combiner pass; these drive the
-    # broadcast-vs-exchange decision per join step
-    _cnt_parts = tagged.map_batches(
-        lambda df: df["pi"].value_counts().rename_axis("pi")
-        .reset_index(name="n"),
-        batch_format="pandas").to_pandas()
-    pat_count: dict[int, int] = (
-        _cnt_parts.groupby("pi")["n"].sum().to_dict()
-        if len(_cnt_parts) else {})
+    # pattern-pruned) scan drive the broadcast-vs-exchange decision
+    # per join step. The scan's total (block metadata, no job) bounds
+    # every pattern's count, so at or under ``broadcast_rows`` every
+    # relation broadcasts and the per-pattern count job is skipped
+    if tagged.count() <= broadcast_rows:
+        pat_count: dict[int, int] = {}
+    else:
+        _cnt_parts = tagged.map_batches(
+            lambda df: df["pi"].value_counts().rename_axis("pi")
+            .reset_index(name="n"),
+            batch_format="pandas").to_pandas()
+        pat_count = (_cnt_parts.groupby("pi")["n"].sum().to_dict()
+                     if len(_cnt_parts) else {})
 
     def _rel(i: int) -> rd.Dataset:
         """Pattern i's binding relation: var-named string columns.
@@ -2632,13 +2645,13 @@ def bgp_match(triples: rd.Dataset,
         if limit is not None:
             k = int(limit)
 
-            def _topk(df: pd.DataFrame) -> pd.DataFrame:
-                if not len(df):
-                    return df
-                return (df.sort_values(sort_cols, ascending=sort_asc,
-                                       kind="stable",
-                                       na_position="last")
-                        .head(k).reset_index(drop=True))
+            def _topk(df: pd.DataFrame) -> pa.Table:
+                top = (df.sort_values(sort_cols, ascending=sort_asc,
+                                      kind="stable", na_position="last")
+                       .head(k)[select])
+                return pa.Table.from_pandas(
+                    top, schema=out_schema,
+                    preserve_index=False).replace_schema_metadata(None)
 
             # combiner top-k per batch, then ONE coalesced final cut
             # over the <= k x blocks survivors
@@ -2652,6 +2665,8 @@ def bgp_match(triples: rd.Dataset,
     elif limit is not None:
         acc = acc.limit(int(limit))
 
+    if not typed_seed:
+        return acc
     # typed empty seed: zero bindings must still carry the schema
     return rd.from_arrow(out_schema.empty_table()).union(acc)
 
@@ -2660,9 +2675,10 @@ def distinct_rows(ds: rd.Dataset, out_schema,
                   n_buckets: int = 64) -> rd.Dataset:
     """Exact distinct over whole rows, combiner-first: per-batch
     ``drop_duplicates`` (bounds the exchange at
-    distinct-rows-per-batch), then one row-hash bucket exchange with
-    a per-group final dedup. Blocks stay typed Arrow throughout
-    (``out_schema`` pins names, order and types)."""
+    distinct-rows-per-batch), then one row-hash bucket exchange whose
+    final ``drop_duplicates`` over whole rows runs once per sorted
+    block. Blocks stay typed Arrow throughout (``out_schema`` pins
+    names, order and types)."""
     import pyarrow as pa
 
     cols = list(out_schema.names)
@@ -2684,9 +2700,8 @@ def distinct_rows(ds: rd.Dataset, out_schema,
             g[cols], schema=out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
-    return (ds.map_batches(_local, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(_dd, batch_format="pyarrow"))
+    return bucket_exchange(ds.map_batches(_local, batch_format="pyarrow"),
+                           _dd, key="__bucket", batch_format="pyarrow")
 
 
 def bgp_construct(triples: rd.Dataset,
@@ -2783,8 +2798,9 @@ def sparql_update(triples: rd.Dataset,
     same per-batch pass (the binding stream is consumed once, never
     re-executed); the store streams through once; the only all-to-all
     is ONE shared (subj, pred, obj) row-hash bucket exchange over
-    store + delta rows, inside which every bucket resolves membership
-    locally — emit a triple iff (in-store ∧ ¬deleted) ∨ inserted.
+    store + delta rows; each sorted block (many buckets) resolves
+    membership per triple — emit a triple iff (in-store ∧ ¬deleted)
+    ∨ inserted.
     Per-batch ``drop_duplicates`` combiners bound the exchange, and
     nothing materializes on the driver.
     """
@@ -2800,8 +2816,10 @@ def sparql_update(triples: rd.Dataset,
         raise ValueError(
             "templates bind no variables — ground INSERT/DELETE DATA "
             "is a plain union / anti-join, not an update pattern")
+    # no typed seed: _deltas below would map it to a schema-less block
     bindings = bgp_match(triples, patterns, select=tvars,
-                         optional=optional, n_buckets=n_buckets)
+                         optional=optional, n_buckets=n_buckets,
+                         typed_seed=False)
 
     cols = ["subj", "pred", "obj"]
     out_schema = pa.schema([(c, pa.string()) for c in cols])
@@ -2855,8 +2873,8 @@ def sparql_update(triples: rd.Dataset,
             preserve_index=False).replace_schema_metadata(None)
 
     return rd.from_arrow(out_schema.empty_table()).union(
-        tagged.groupby("__bucket").map_groups(_resolve,
-                                              batch_format="pyarrow"))
+        bucket_exchange(tagged, _resolve, key="__bucket",
+                        batch_format="pyarrow"))
 
 
 def path_closure(triples: rd.Dataset, pred: str,
@@ -2942,14 +2960,14 @@ def path_closure(triples: rd.Dataset, pred: str,
     if starts is not None:
         sref = ray.put(frozenset(starts))
 
-        def _seed(df: pd.DataFrame) -> pd.DataFrame:
+        def _seed(df: pd.DataFrame) -> pa.Table:
             keep = df[df["src"].isin(ray.get(sref))]
-            return pd.DataFrame({"start": keep["src"].to_numpy(),
-                                 "node": keep["dst"].to_numpy()})
+            return pa.table([keep["src"].to_numpy(),
+                             keep["dst"].to_numpy()], schema=pair_schema)
     else:
-        def _seed(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"start": df["src"].to_numpy(),
-                                 "node": df["dst"].to_numpy()})
+        def _seed(df: pd.DataFrame) -> pa.Table:
+            return pa.table([df["src"].to_numpy(), df["dst"].to_numpy()],
+                            schema=pair_schema)
 
     erel = edges.map_batches(
         lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
@@ -2959,6 +2977,11 @@ def path_closure(triples: rd.Dataset, pred: str,
                                 batch_format="pandas").materialize()
     frontier = visited
     B = np.int64(n_buckets)
+    # a sort makes one output block per input block, so each round's
+    # exchanges would return more blocks than they took, and the
+    # block (and task) count would compound round over round: every
+    # round re-cuts its outputs to the edge set's block count
+    n_blocks = edges.num_blocks()
 
     def _tag(flag: int):
         def _t(df: pd.DataFrame) -> pd.DataFrame:
@@ -2972,13 +2995,16 @@ def path_closure(triples: rd.Dataset, pred: str,
             return out
         return _t
 
-    def _fresh(g: pd.DataFrame) -> pd.DataFrame:
+    def _fresh(g: pd.DataFrame) -> pa.Table:
         tag = g["__tag"].to_numpy()
         new = g[tag == 1][["start", "node"]].drop_duplicates()
         old = g[tag == 0][["start", "node"]]
         m = new.merge(old, on=["start", "node"], how="left",
                       indicator=True)
-        return m[m["_merge"] == "left_only"][["start", "node"]]
+        return pa.Table.from_pandas(
+            m[m["_merge"] == "left_only"][["start", "node"]],
+            schema=pair_schema, preserve_index=False) \
+            .replace_schema_metadata(None)
 
     for _ in range(max_rounds):
         stepped = hash_join(
@@ -2990,15 +3016,14 @@ def path_closure(triples: rd.Dataset, pred: str,
             lambda df: pd.DataFrame({"start": df["start"].to_numpy(),
                                      "node": df["nxt"].to_numpy()}),
             batch_format="pandas")
-        new = (visited.map_batches(_tag(0), batch_format="pandas")
-               .union(cand.map_batches(_tag(1), batch_format="pandas"))
-               .groupby("__bucket")
-               .map_groups(_fresh, batch_format="pandas")
-               .materialize())
+        tagged = (visited.map_batches(_tag(0), batch_format="pandas")
+                  .union(cand.map_batches(_tag(1), batch_format="pandas")))
+        new = bucket_exchange(tagged, _fresh, key="__bucket") \
+            .repartition(n_blocks).materialize()
         if new.count() == 0:
             return rd.from_arrow(pair_schema.empty_table()) \
                 .union(visited)
-        visited = visited.union(new).materialize()
+        visited = visited.union(new).repartition(n_blocks).materialize()
         frontier = new
     raise RuntimeError(
         f"path_closure did not converge within {max_rounds} rounds; "
@@ -3095,6 +3120,7 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
     visited = rd.from_arrow(_seed_table()).materialize()
     frontier = visited
     B = np.int64(n_buckets)
+    n_blocks = edges.num_blocks()  # bounds the blocks, as in the closure
 
     def _tag(flag: int):
         def _t(df: pd.DataFrame) -> pd.DataFrame:
@@ -3108,11 +3134,14 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
             return out
         return _t
 
-    def _fresh(g: pd.DataFrame) -> pd.DataFrame:
+    def _fresh(g: pd.DataFrame) -> pa.Table:
         tag = g["__tag"].to_numpy()
         new = g[tag == 1].drop_duplicates("node")
         old = g.loc[tag == 0, "node"]
-        return new.loc[~new["node"].isin(old), ["node", "level"]]
+        return pa.Table.from_pandas(
+            new.loc[~new["node"].isin(old), ["node", "level"]],
+            schema=out_schema, preserve_index=False) \
+            .replace_schema_metadata(None)
 
     for rnd in range(1, max_rounds + 1):
         stepped = hash_join(
@@ -3128,15 +3157,14 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
                 {"node": df["nxt"].to_numpy(),
                  "level": np.full(len(df), _lv)}),
             batch_format="pandas")
-        new = (visited.map_batches(_tag(0), batch_format="pandas")
-               .union(cand.map_batches(_tag(1), batch_format="pandas"))
-               .groupby("__bucket")
-               .map_groups(_fresh, batch_format="pandas")
-               .materialize())
+        tagged = (visited.map_batches(_tag(0), batch_format="pandas")
+                  .union(cand.map_batches(_tag(1), batch_format="pandas")))
+        new = bucket_exchange(tagged, _fresh, key="__bucket") \
+            .repartition(n_blocks).materialize()
         if new.count() == 0:
             return rd.from_arrow(out_schema.empty_table()) \
                 .union(visited)
-        visited = visited.union(new).materialize()
+        visited = visited.union(new).repartition(n_blocks).materialize()
         frontier = new
     raise RuntimeError(
         f"bfs_levels frontier still live after {max_rounds} rounds; "
@@ -3670,7 +3698,8 @@ def bgp_aggregate(triples: rd.Dataset,
 
     if exact:
         # projected binding rows exchange; every aggregate computed
-        # exactly per co-located group
+        # exactly per co-located group, all groups of a sorted block
+        # in one call
         def _final(g: pd.DataFrame) -> pa.Table:
             gb = g.groupby(gcols, dropna=False, sort=False)
             out = gb.size().rename("__n").reset_index()
@@ -3702,16 +3731,17 @@ def bgp_aggregate(triples: rd.Dataset,
                 out[out_schema.names], schema=out_schema,
                 preserve_index=False).replace_schema_metadata(None)
 
-        agg = (bindings.map_batches(_bucket, batch_format="pandas")
-               .groupby("__bucket")
-               .map_groups(_final, batch_format="pandas"))
+        agg = bucket_exchange(
+            bindings.map_batches(_bucket, batch_format="pandas"),
+            _final, key="__bucket")
     else:
         # combiner path, ONE consumer of the binding stream and ONE
         # group-key exchange: each batch emits a tagged union of
         # (a) kind-0 partial rows for count/min/max (one per group)
         # and (b) kind-i per-batch DISTINCT (group, value) pair rows
-        # per count_distinct aggregate; the per-bucket finalizer
-        # merges partials and counts exact nuniques side by side.
+        # per count_distinct aggregate; the finalizer, once per
+        # sorted block of buckets, merges partials and counts exact
+        # nuniques per group side by side.
         # Exchange rows are bounded by (groups + distinct pairs) per
         # batch — the raw binding stream never exchanges.
         base_fields = [(g, pa.string()) for g in gcols]
@@ -3811,9 +3841,9 @@ def bgp_aggregate(triples: rd.Dataset,
                 out[out_schema.names], schema=out_schema,
                 preserve_index=False).replace_schema_metadata(None)
 
-        agg = (bindings.map_batches(_partial, batch_format="pandas")
-               .groupby("__bucket")
-               .map_groups(_final, batch_format="pyarrow"))
+        agg = bucket_exchange(
+            bindings.map_batches(_partial, batch_format="pandas"),
+            _final, key="__bucket", batch_format="pyarrow")
 
     if having:
         import operator as _op
@@ -3825,14 +3855,18 @@ def bgp_aggregate(triples: rd.Dataset,
             if alias not in out_schema.names:
                 raise ValueError(f"HAVING references unknown {alias!r}")
 
-        def _having(df: pd.DataFrame) -> pd.DataFrame:
+        def _having(t: pa.Table) -> pa.Table:
+            # the mask is computed in pandas, the rows are kept in
+            # Arrow: the typed aggregate columns pass through exactly
+            df = t.select(list(dict.fromkeys(
+                a for a, _, _ in having))).to_pandas()
             m = pd.Series(True, index=df.index)
             for alias, op, val in having:
                 col = df[alias]
                 m &= ops[op](col, val) & col.notna()
-            return df[m.to_numpy()].reset_index(drop=True)
+            return t.filter(pa.array(m.to_numpy(dtype=bool)))
 
-        agg = agg.map_batches(_having, batch_format="pandas")
+        agg = agg.map_batches(_having, batch_format="pyarrow")
 
     if global_agg:
         # <= 1 row by construction: materializing is bounded. Over an

@@ -8,9 +8,10 @@ The reference's joins are ALL broadcast-small-side dictionary lookups
   engine-native form of every reference join (J1-J7, J9).
 - :func:`hash_join` — both sides large: explicit partitioned hash
   join. Each side gets a deterministic ``__bucket`` column
-  (``hash(key) % n_buckets``), the tagged union is grouped by bucket,
-  and matching buckets merge pairwise with a vectorized pandas merge
-  inside ``map_groups``. One shuffle each side; skewed keys can be
+  (``hash(key) % n_buckets``), the tagged union is sorted on it
+  (:func:`~.dedup.bucket_exchange`), and each sorted block — many
+  whole buckets — merges its two sides with one vectorized pandas
+  merge on the join key. One shuffle each side; skewed keys can be
   salted by raising ``n_buckets``. (Ray's experimental
   ``Dataset.join`` exists in this version; we keep an explicit
   implementation so the partitioning contract is visible and
@@ -22,7 +23,7 @@ The reference's joins are ALL broadcast-small-side dictionary lookups
 The tagged-union exchange is **Arrow end-to-end**: each side is padded
 to the union schema with TYPED null columns (``pa.nulls(n, type)``),
 so the shuffle moves compact Arrow blocks — never pandas object-dtype
-blocks — and per-bucket merges recover each side's true dtypes by
+blocks — and the per-block merges recover each side's true dtypes by
 selecting that side's own columns BEFORE converting to pandas (a
 side's own columns contain no padding nulls).
 """
@@ -34,6 +35,8 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
+
+from .dedup import bucket_exchange
 
 
 def _bucket_of(series: pd.Series, n: int) -> np.ndarray:
@@ -61,8 +64,8 @@ def broadcast_join(large: rd.Dataset, small_df: pd.DataFrame, on: str | list,
 def distinct_values(ds: rd.Dataset, column: str, pre=None,
                     n_buckets: int = 32) -> pd.Series:
     """Distributed distinct of one column: per-batch unique (combiner)
-    → hash-bucket groupby unique → small driver collect of only the
-    distinct values. ``pre`` optionally filters/projects each batch
+    → hash-bucket exchange, unique per sorted block → small driver
+    collect of only the distinct values. ``pre`` optionally filters/projects each batch
     first. The full column never streams through the driver."""
 
     def _partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -74,9 +77,8 @@ def distinct_values(ds: rd.Dataset, column: str, pre=None,
     def _uniq(group: pd.DataFrame) -> pd.DataFrame:
         return group.drop_duplicates(column)[[column]]
 
-    out = (ds.map_batches(_partial, batch_format="pandas")
-           .groupby("__b").map_groups(_uniq, batch_format="pandas")
-           .to_pandas())
+    out = bucket_exchange(ds.map_batches(_partial, batch_format="pandas"),
+                          _uniq, key="__b").to_pandas()
     if column not in out.columns:  # zero-row input loses its schema
         return pd.Series([], name=column, dtype="object")
     return out[column]
@@ -138,8 +140,8 @@ def _pad_column(n: int, t: pa.DataType) -> pa.Array:
     """Padding for the other side's columns in the tagged union.
 
     Integer columns pad with ZEROS, not nulls: datasets that went
-    through a groupby carry schema-less empty pandas partitions
-    (map_groups is never called on an empty partition), and their
+    through a keyed exchange carry schema-less empty pandas
+    partitions (no body runs on an empty sort partition), and their
     presence makes Ray's sort exchange fall back to PANDAS blocks —
     where an int64 column with nulls becomes float64 and silently
     rounds every value above 2^53 (observed corrupting md5-15 hash
@@ -176,7 +178,7 @@ def _tagger(side: int, own_cols: list[str], all_cols: list[str],
 
 def _side_frames(t: pa.Table, left_cols: list[str], right_cols: list[str]
                  ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Split a tagged-union group back into per-side pandas frames.
+    """Split a tagged-union block back into per-side pandas frames.
     Selecting a side's OWN columns before ``to_pandas`` means no
     padding nulls ever reach pandas, so dtypes survive exactly."""
     import pyarrow.compute as pc
@@ -225,8 +227,9 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
 
     A custom operator Ray Data lacks: both sides hash-partition on
     ``by`` (all rows of one key co-locate — the partitioning
-    assumption), then each bucket runs a vectorized
-    ``pandas.merge_asof`` under a stable per-bucket sort on ``on``.
+    assumption), then each sorted block of buckets runs one
+    vectorized ``pandas.merge_asof`` (``by`` keeps keys apart) under a
+    stable sort on ``on``.
     One shuffle each side, |left|+|right| rows once, Arrow blocks
     throughout the exchange.
     """
@@ -261,7 +264,7 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
     def _merge_bucket(t: pa.Table) -> pa.Table:
         l, r = _side_frames(t, left_cols, right_cols)
         # SQL key semantics + merge_asof's own constraint: a null
-        # `on` anywhere in a bucket raises inside merge_asof, and a
+        # `on` anywhere in a block raises inside merge_asof, and a
         # null `by` would NaN-pair; null-keyed rows can never match
         # an inner as-of, so they drop on both sides
         l = l.dropna(subset=[by, on])
@@ -285,7 +288,7 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
         r = r.sort_values(r_order, kind="stable")
         # int64 value columns ride as pandas' masked Int64 so an
         # unmatched left row cannot float64-promote (and round >2^53)
-        # the whole bucket's matched values — the corruption
+        # the whole block's matched values — the corruption
         # hash_join's split-merge explicitly avoids
         for c in r.columns:
             if c not in (by, on) and r[c].dtype == np.int64:
@@ -300,8 +303,8 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
             out[out_cols], schema=out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
-    return tagged.groupby("__bucket").map_groups(_merge_bucket,
-                                                 batch_format="pyarrow")
+    return bucket_exchange(tagged, _merge_bucket, key="__bucket",
+                           batch_format="pyarrow")
 
 
 def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
@@ -312,8 +315,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
     """Partitioned hash join of two Datasets on ``on``.
 
     Both sides are tagged (``__side``), bucketed on the key hash,
-    unioned, grouped by bucket, and merged pairwise per bucket. The
-    shuffle volume is |left| + |right| rows, once, in Arrow blocks.
+    unioned, sorted on the bucket, and merged once per sorted block
+    (many buckets per merge; the merge keys on ``on``). The shuffle
+    volume is |left| + |right| rows, once, in Arrow blocks.
 
     ``how="left"``: unmatched left rows survive with typed Arrow
     NULLs in the right columns (matched/unmatched are built as
@@ -398,11 +402,10 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
 
     def _merge_bucket(t: pa.Table) -> pa.Table:
         l, r = _side_frames(t, left_cols, right_cols)
-        # one-sided buckets return a TYPED empty (or, for left joins,
+        # one-sided blocks return a TYPED empty (or, for left joins,
         # pad the whole left side) — never let pandas infer a
         # column-less schema, which trips the executor's
-        # schema-unification warning and is a latent hazard on sparse
-        # buckets
+        # schema-unification warning
         if not len(l) or (how == "inner" and not len(r)):
             return out_schema.empty_table()
         if how == "anti":
@@ -449,8 +452,8 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
             out[out_cols], schema=out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
-    return tagged.groupby("__bucket").map_groups(_merge_bucket,
-                                                 batch_format="pyarrow")
+    return bucket_exchange(tagged, _merge_bucket, key="__bucket",
+                           batch_format="pyarrow")
 
 
 def range_count_join(left: rd.Dataset, right: rd.Dataset, on: str,
@@ -464,7 +467,7 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, on: str,
     ``[left.ts + lo_offset, left.ts + hi_offset]`` (both inclusive).
 
     Ray Data has no non-equi join; this is the
-    equi-bucket + in-group interval-count composition: both sides
+    equi-bucket + in-block interval-count composition: both sides
     hash-bucket on the key, union into one sorted exchange, and each
     key's count is two vectorized ``searchsorted`` probes against that
     key's sorted right-timestamp array. An EMPTY right side
@@ -507,8 +510,8 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, on: str,
         left_schema, right_sub)
     out_schema = left_schema.append(pa.field(count_col, pa.int64()))
 
-    def _count(group: pa.Table) -> pa.Table:
-        lhs, rhs = _side_frames(group, left_cols, right_cols)
+    def _count(block: pa.Table) -> pa.Table:
+        lhs, rhs = _side_frames(block, left_cols, right_cols)
         if not len(lhs):
             return out_schema.empty_table()
         counts = np.zeros(len(lhs), dtype="int64")
@@ -538,5 +541,5 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, on: str,
         lambda t: _tagger(1, right_cols, all_cols, type_of, [on],
                           n_buckets)(t.select(right_cols)),
         batch_format="pyarrow")
-    return (lt.union(rt).groupby("__bucket")
-            .map_groups(_count, batch_format="pyarrow"))
+    return bucket_exchange(lt.union(rt), _count, key="__bucket",
+                           batch_format="pyarrow")

@@ -755,7 +755,10 @@ def _closure_pairs(G, triples, pred, star: bool,
     synthetic predicate, and the same dual-path closure runs over
     that relation; no extra exchanges."""
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
+
+    from rdf_extraction_ray.stages.dedup import bucket_exchange
 
     members = list(pred) if isinstance(pred, tuple) else [pred]
     fwd = [m for m in members if not m.startswith("^")]
@@ -789,20 +792,24 @@ def _closure_pairs(G, triples, pred, star: bool,
                          n_buckets=n_buckets)
     if not star:
         return clo  # path_closure output is already set-distinct
+    pair_schema = pa.schema([("start", pa.string()),
+                             ("node", pa.string())])
     if start_const is not None:
-        zero = rd.from_pandas(pd.DataFrame(
-            {"start": [start_const], "node": [start_const]}))
+        zero = rd.from_arrow(pa.table(
+            {"start": [start_const], "node": [start_const]},
+            schema=pair_schema))
     else:
-        def _zero_rows(df: pd.DataFrame) -> pd.DataFrame:
+        def _zero_rows(df: pd.DataFrame) -> pa.Table:
             # subjects are always URI terms of the graph (RDF), so
             # they self-pair unconditionally; only the OBJECT side
             # is filtered to URI kind — a subject whose triples all
             # have literal objects still gets its zero-length pair
             g = df[df["obj_kind"] == "uri"] \
                 if "obj_kind" in df.columns else df
-            t = pd.unique(pd.concat([df["subj"], g["obj"]],
-                                    ignore_index=True))
-            return pd.DataFrame({"start": t, "node": t})
+            t = pa.array(pd.unique(pd.concat([df["subj"], g["obj"]],
+                                             ignore_index=True)),
+                         type=pa.string())
+            return pa.table([t, t], schema=pair_schema)
 
         zero = triples.map_batches(_zero_rows, batch_format="pandas")
 
@@ -813,11 +820,14 @@ def _closure_pairs(G, triples, pred, star: bool,
             index=False)
         return g.assign(pb=(h % n_buckets).astype("int64"))
 
-    return (clo.union(zero)
-            .map_batches(_pair_bucket, batch_format="pandas")
-            .groupby("pb")
-            .map_groups(lambda g: g[["start", "node"]]
-                        .drop_duplicates(), batch_format="pandas"))
+    def _dedupe(df: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pandas(
+            df[["start", "node"]].drop_duplicates(), schema=pair_schema,
+            preserve_index=False).replace_schema_metadata(None)
+
+    return bucket_exchange(
+        clo.union(zero).map_batches(_pair_bucket, batch_format="pandas"),
+        _dedupe, key="pb")
 
 
 def _compose_closures(G, triples, patterns, n_buckets: int):
@@ -989,7 +999,8 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
                 if names["node"] is None:  # ?x p+ <const o>
                     t = t.filter(pc.equal(t.column("node"), o))
                 cols = {v: t.column(c) for c, v in names.items() if v}
-                return pa.table({v: cols[v] for v in keep})
+                return pa.table({v: cols[v] for v in keep}).cast(
+                    pa.schema([(v, pa.string()) for v in keep]))
 
             return out.map_batches(_shape, batch_format="pyarrow")
         if q["form"] not in ("select", "ask", "construct"):
@@ -1160,7 +1171,7 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
         if not q["order_by"] or q["limit"] is None:
             raise NotImplementedError(
                 "OFFSET requires ORDER BY and LIMIT")
-        import pandas as pd
+        import pyarrow as pa
         import ray.data as rd
         out = G.bgp_match(triples, g["patterns"], select=q["select"],
                           distinct=q["distinct"],
@@ -1171,8 +1182,10 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
                           limit=q["limit"] + offset,
                           binds=q["binds"] or None,
                           n_buckets=n_buckets)
-        page = out.to_pandas().iloc[offset:].reset_index(drop=True)
-        return rd.from_pandas(page)
+        page = out.to_pandas().iloc[offset:]
+        return rd.from_arrow(pa.Table.from_pandas(
+            page, schema=pa.schema([(c, pa.string()) for c in page.columns]),
+            preserve_index=False).replace_schema_metadata(None))
     return G.bgp_match(triples, g["patterns"], select=q["select"],
                        distinct=q["distinct"],
                        optional=g["optional"] or None,

@@ -45,3 +45,31 @@ def test_host_describes_the_run():
     assert h["cpu_affinity"] and len(h["loadavg_at_launch"]) == 3
     assert (h["ray_version"], h["pyarrow_version"], h["python_version"]) \
         == (ray.__version__, pyarrow.__version__, platform.python_version())
+
+
+def test_query_time_is_min_of_two_runs():
+    import time
+    naps = [0.5, 0.0]  # the first run is slow, the second is not
+
+    def run():
+        time.sleep(naps.pop(0))
+
+    assert bench.time_query(run) < 0.25
+    assert not naps and bench.QUERY_REPS == 2
+
+
+def test_big_smoke_sizes_the_corpus_to_memory():
+    import importlib.util
+    import os
+    spec = importlib.util.spec_from_file_location(
+        "big_smoke", os.path.join(os.path.dirname(__file__), "..",
+                                  "tools", "big_smoke.py"))
+    smoke = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(smoke)
+    per = smoke.PEAK_GIB_PER_MULT
+    assert smoke.corpus_mult({}, 15.0) == (int(15.0 // per), "")
+    assert smoke.corpus_mult({}, 1000.0) == (smoke.MAX_MULT, "")
+    assert smoke.corpus_mult({"GRAFT_CORPUS_MULT": "2"}, 15.0) == (2, "")
+    for env, avail in (({}, per / 2), ({"GRAFT_CORPUS_MULT": "10"}, 15.0)):
+        mult, why = smoke.corpus_mult(env, avail)
+        assert mult is None and "GiB" in why

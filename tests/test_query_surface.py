@@ -59,24 +59,25 @@ def test_every_query_runs_and_returns_rows():
                     "round-5 reading is in BASELINE.md)")
 def test_big_smoke_streaming_memory_bound():
     """VERDICT r4 task #6: the KG + curation flagships at
-    GRAFT_CORPUS_MULT x sf0.1 (default 10x = the sf1 scale) must
-    complete with peak memory far below corpus-proportional — a
-    full-corpus materialization mistake would show here. Runs in a
-    subprocess so its own ray session cannot disturb the suite's."""
+    GRAFT_CORPUS_MULT x sf0.1 (unset: the largest multiple up to 10x,
+    the sf1 scale, that fits the host's memory) must complete with
+    peak memory far below corpus-proportional — a full-corpus
+    materialization mistake would show here. Runs in a subprocess so
+    its own ray session cannot disturb the suite's."""
     import json
     import subprocess
     import sys
 
-    env = dict(os.environ)
-    env.setdefault("GRAFT_CORPUS_MULT", "10")
     proc = subprocess.run(
         [sys.executable,
          os.path.join(os.path.dirname(__file__), "..", "tools",
                       "big_smoke.py")],
-        capture_output=True, text=True, timeout=3600, env=env)
+        capture_output=True, text=True, timeout=3600, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr[-2000:]
     line = [l for l in proc.stdout.splitlines() if l.startswith("{")][-1]
     res = json.loads(line)
+    if "skipped" in res:
+        pytest.skip(res["skipped"])
     assert res["n_triples"] > 0 and res["cur_docs_out"] > 0
     # replicas collapse in the dedup exchange: survivors ≈ docs_in/mult
     assert res["cur_docs_out"] <= res["cur_docs_in"] // res["mult"] + 1

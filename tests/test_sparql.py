@@ -851,3 +851,101 @@ def test_ask_and_construct_with_graph_patterns():
         WHERE { GRAPH ?g { ?s <p> ?o } }""").to_pandas()
     assert sorted(map(tuple, got.values.tolist())) == [
         ("a", "inGraph", "g1"), ("b", "inGraph", "g2")]
+
+
+@pytest.fixture(scope="module")
+def mix_graph(tmp_path_factory):
+    """The benchmark's graph layouts at small scale: the triples of a
+    150-conversation build (every query of the mix returns rows), and
+    the same rows with a ``graph`` column."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from rdf_extraction_ray import synth
+    from rdf_extraction_ray.pipelines import kg
+    from rdf_extraction_ray.stages.serialize import quad_graph_term
+    d = tmp_path_factory.mktemp("mix")
+    turns = synth.write_turns(str(d / "turns"), 150, seed=5)
+    kg.triples_from_turns(kg.read_turns(turns)).write_parquet(
+        str(d / "triples"))
+    g = pq.read_table(str(d / "triples"))
+    os.makedirs(d / "quads")
+    pq.write_table(g.append_column("graph", pa.array(
+        quad_graph_term(g.column("conv_id").to_pandas()), pa.string())),
+        str(d / "quads" / "quads.parquet"))
+    return {"triples": str(d / "triples"), "quads": str(d / "quads")}
+
+
+def _mix_forms():
+    from kgperf.queries import MIX
+    return [pytest.param(form, source, text, id=form)
+            for form, source, text, _ in MIX]
+
+
+@pytest.mark.parametrize("form,source,text", _mix_forms())
+def test_mix_blocks_share_one_schema(mix_graph, form, source, text):
+    """Every block a benchmark query returns rows in is Arrow, in the
+    schema the query declares (its leading typed block), never pandas
+    ``object`` blocks after Arrow ones. Zero-row blocks are left out:
+    Ray passes them through a map without calling its function, so
+    they keep whatever schema reached that map."""
+    import pyarrow as pa
+    import ray
+
+    out = run_sparql(rd.read_parquet(mix_graph[source]), text)
+    blocks = [ray.get(ref) for bundle in out.iter_internal_ref_bundles()
+              for ref, _ in bundle.blocks]
+    full = [b for b in blocks if b.shape[0]]
+    assert full and all(isinstance(b, pa.Table) for b in full), form
+    assert {b.schema for b in full} == {out.schema().base_schema}, form
+
+
+class TestBroadcastCountShortcut:
+    """The per-pattern count job only feeds the ``broadcast_rows``
+    test; when the scan's row count is at or under the threshold no
+    pattern can exceed it, so the job is skipped."""
+
+    PATS = [("?p", "http://ex.org/bplace", "?b"),
+            ("?p", "http://ex.org/dplace", "?d")]
+
+    @staticmethod
+    def _graph():
+        rows = [(f"p{i}", "http://ex.org/bplace", f"town{i % 7}")
+                for i in range(40)]
+        rows += [(f"p{i}", "http://ex.org/dplace", f"town{i % 5}")
+                 for i in range(10, 40)]
+        rows += [(f"p{i}", "http://ex.org/other", "x") for i in range(20)]
+        return rd.from_pandas(pd.DataFrame(
+            rows, columns=["subj", "pred", "obj"]))
+
+    def _run(self, monkeypatch, **kw):
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+
+        from rdf_extraction_ray.stages.graph import bgp_match
+        runs = []
+        execute = StreamingExecutor.execute
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return execute(self, *args, **kwargs)
+
+        tr = self._graph().materialize()
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        got = _canon(bgp_match(tr, self.PATS, **kw))
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        return got, len(runs)
+
+    def test_same_rows_one_job_fewer(self, monkeypatch):
+        default, n_default = self._run(monkeypatch)
+        # the scan holds 70 rows: at 69 the count job runs, yet both
+        # patterns (40 and 30 rows) still broadcast — the same plan
+        counted, n_counted = self._run(monkeypatch, broadcast_rows=69)
+        # at 0 every join takes the partitioned hash-join exchange
+        joined, _ = self._run(monkeypatch, broadcast_rows=0)
+        assert len(default) == 30
+        pd.testing.assert_frame_equal(counted, default)
+        pd.testing.assert_frame_equal(joined, default)
+        assert n_default == n_counted - 1

@@ -1,6 +1,13 @@
 """Large-scale streaming smoke: the KG flagship + the curation
-flagship at ``GRAFT_CORPUS_MULT``× sf0.1 (default 10× ≈ 5.4M turns —
-the sf1 scale), with peak-memory sampling.
+flagship at ``GRAFT_CORPUS_MULT``× sf0.1 (10× ≈ 5.4M turns is the sf1
+scale), with peak-memory sampling.
+
+The multiple is sized to the host's memory (:func:`corpus_mult`): 10×
+peaked at 28.5 GiB of system memory at 32 CPUs, so the run takes the
+largest multiple up to 10 whose projected peak fits the memory
+available at launch. When none fits, or an explicit
+``GRAFT_CORPUS_MULT`` does not, it runs nothing and prints
+``{"skipped": reason, ...}`` instead.
 
 Purpose (VERDICT r4 next-round task #6): demonstrate the streaming
 claims at a scale where a full-corpus materialization mistake would
@@ -15,7 +22,8 @@ below corpus-proportional. Records ONE JSON line:
 
 Peak memory is system-wide used memory (MemTotal − MemAvailable,
 sampled at 4 Hz) — the only vantage that sees every Ray worker and
-the object store, not just the driver. Run standalone
+the object store, not just the driver. Ray gets ``RAY_GRAFT_CPUS``
+slots (default: ``nproc``, as in bench.py). Run standalone
 (``python tools/big_smoke.py``) or via the opt-in
 ``GRAFT_FULL_SMOKE=1`` pytest hook (tests/test_query_surface.py).
 """
@@ -34,13 +42,41 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 
-def _mem_used_gib() -> float:
+def _meminfo_gib() -> dict:
     info = {}
     with open("/proc/meminfo") as f:
         for line in f:
             k, v = line.split(":", 1)
-            info[k] = int(v.strip().split()[0])  # kB
-    return (info["MemTotal"] - info["MemAvailable"]) / 1048576.0
+            info[k] = int(v.strip().split()[0]) / 1048576.0  # kB → GiB
+    return info
+
+
+def _mem_used_gib() -> float:
+    info = _meminfo_gib()
+    return info["MemTotal"] - info["MemAvailable"]
+
+
+#: system-wide peak per unit of corpus multiple: 10× sf0.1 peaked at
+#: 28.5 GiB (32 CPUs); the peak is taken to grow linearly with it
+PEAK_GIB_PER_MULT = 2.85
+MAX_MULT = 10
+
+
+def corpus_mult(env: dict, avail_gib: float) -> tuple[int | None, str]:
+    """The corpus multiple to run, or ``None`` and the reason to skip.
+
+    ``GRAFT_CORPUS_MULT`` when set and its projected peak
+    (``PEAK_GIB_PER_MULT`` per unit) fits ``avail_gib``; unset, the
+    largest multiple up to ``MAX_MULT`` that fits."""
+    fits = int(avail_gib // PEAK_GIB_PER_MULT)
+    asked = env.get("GRAFT_CORPUS_MULT")
+    mult = int(asked) if asked else min(MAX_MULT, fits)
+    if mult < 1 or mult > fits:
+        return None, (
+            f"corpus multiple {max(mult, 1)} projects a "
+            f"{max(mult, 1) * PEAK_GIB_PER_MULT:.1f} GiB peak; "
+            f"{avail_gib:.1f} GiB of memory is available")
+    return mult, ""
 
 
 class _MemSampler(threading.Thread):
@@ -87,8 +123,14 @@ def _big_docs(sf_dir: str, mult: int) -> str:
 def main() -> dict:
     import ray
 
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    mult = int(os.environ.get("GRAFT_CORPUS_MULT", "10"))
+    from bench import nproc
+
+    mult, why = corpus_mult(os.environ, _meminfo_gib()["MemAvailable"])
+    if mult is None:
+        out = {"skipped": why, "peak_gib_per_mult": PEAK_GIB_PER_MULT}
+        sys.stdout.write(json.dumps(out, sort_keys=True) + "\n")
+        return out
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", nproc()))
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     ray.init(address="local", num_cpus=num_cpus,
              include_dashboard=False, ignore_reinit_error=True,
