@@ -10,6 +10,8 @@ All URI minting goes through :func:`uri` so the vocabulary stays closed
 
 from __future__ import annotations
 
+import pyarrow as pa
+
 NS: dict[str, str] = {
     "data": "http://kg.example.org/data/",          # minted entities (reference "temp"/data ns)
     "kg": "http://kg.example.org/ontology#",        # engine vocabulary (reference "cwrc" ns role)
@@ -38,6 +40,10 @@ TRIPLE_COLUMNS = [
     "subj", "pred", "obj", "obj_kind", "obj_lang", "obj_datatype",
     "conv_id", "turn_idx",
 ]
+# the Arrow schema of every triple table the KG chain produces
+TRIPLE_SCHEMA = pa.schema([
+    (c, pa.int32() if c == "turn_idx" else pa.string())
+    for c in TRIPLE_COLUMNS])
 
 
 def uri(prefix: str, term: str) -> str:

@@ -6,14 +6,17 @@
       → map_batches(detect_facts, pyarrow)     # stateless; text never shuffles
       → sort(bucket).map_batches(finalize)     # conversation rules + seq minting (shuffle #1, fact rows only)
       → map_batches(link)                      # broadcast dicts + fuzzy fallback, cached per process
-      → map_batches(build_triples, pandas)     # predicate templating
-      → two-level exact dedup                  # combiner + hash shuffle (#2)
+      → map_batches(build_triples)             # predicate templating, pandas in, Arrow out
+      → two-level exact dedup (pyarrow)        # combiner + hash shuffle (#2)
       → write_parquet                          # partitioned sink + manifest
 
 Both shuffles go through :func:`stages.dedup.bucket_exchange`: the
 body runs once per sorted BLOCK (many buckets), not once per bucket.
 The default plan fuses finalize → link → template → combiner into one
-such body (:func:`_assemble_bucket`).
+such body (:func:`_assemble_bucket`). Finalize and the linker work on
+a pandas frame of fact rows (the linker resolves each slot over its
+unique surfaces into numpy arrays); the template emits one Arrow table
+per call, and the combiner and the dedup body stay on Arrow.
 
 Scale notes (100 TB design):
 - the only stage that touches full transcript text is ``detect_facts``
@@ -171,18 +174,19 @@ def link_facts(facts: rd.Dataset, concurrency: int | tuple | None = None,
 def _assemble_bucket(group):
     """Fused exchange body over one sorted block of conversation-hash
     buckets (whole conversations only, many per call): finalize →
-    link → template → dedup-combiner in ONE pandas pass.
+    link → template → dedup-combiner in ONE call.
 
     Ray would fuse these operators into one task anyway, but each
-    map_batches still pays a pandas↔Arrow block round-trip per
-    sub-stage; fusing the bodies keeps the fact rows in pandas from
-    finalize through the combiner (measured ~2x stage-CPU drop at
-    sf0.1). Semantically identical to the unfused chain — pinned by
-    the golden/P-R suite, which runs both paths."""
+    map_batches still pays a block format round-trip per sub-stage;
+    fusing the bodies keeps the fact rows in pandas from finalize
+    through the linker and the triples in Arrow from the template
+    through the combiner (measured ~2x stage-CPU drop at sf0.1).
+    Semantically identical to the unfused chain — pinned by the
+    golden/P-R suite, which runs both paths."""
     from ..stages.dedup import add_bucket_and_combine
-    from ..stages.template import build_triples_frame
+    from ..stages.template import build_triples
     finalized = finalize_bucket(group)
-    triples = build_triples_frame(_get_linker()(finalized))
+    triples = build_triples(_get_linker()(finalized))
     return add_bucket_and_combine(triples)
 
 
@@ -191,7 +195,7 @@ def triples_from_turns(turns: rd.Dataset,
                        stats_key: str | None = None) -> rd.Dataset:
     """Full transform chain turns → deduped triples (lazy).
 
-    Default: the fused assembly path (one pandas pass per sorted
+    Default: the fused assembly path (one body call per sorted
     block).
     With ``linker_concurrency`` the unfused chain runs instead, so the
     linker can be a bounded actor pool (heavy linker state).
@@ -210,7 +214,7 @@ def triples_from_turns(turns: rd.Dataset,
                                      batch_size=None)
         return dedup_triples(triples)
     return bucket_exchange(_assembled(turns, stats_key=stats_key),
-                           dedup_bucket)
+                           dedup_bucket, batch_format="pyarrow")
 
 
 def _link_template_combine(batch):
@@ -218,9 +222,8 @@ def _link_template_combine(batch):
     link → template → dedup-combiner, per batch (no conversation
     grouping needed — the salted assembly already minted seq ids)."""
     from ..stages.dedup import add_bucket_and_combine
-    from ..stages.template import build_triples_frame
-    return add_bucket_and_combine(
-        build_triples_frame(_get_linker()(batch)))
+    from ..stages.template import build_triples
+    return add_bucket_and_combine(build_triples(_get_linker()(batch)))
 
 
 def _probe_fingerprint(path: str) -> str | None:
@@ -384,18 +387,19 @@ def triples_with_seed(turns: rd.Dataset,
     from ..stages.dedup import add_bucket_and_combine
 
     seed = rd.from_arrow(seed_triples_table()).map_batches(
-        add_bucket_and_combine, batch_format="pandas", batch_size=None)
+        add_bucket_and_combine, batch_format="pyarrow", batch_size=None)
     if linker_concurrency is not None:
         facts = extract_facts(turns)
         linked = link_facts(facts, concurrency=linker_concurrency)
         triples = linked.map_batches(build_triples, batch_format="pandas",
                                      batch_size=None)
         assembled = triples.map_batches(add_bucket_and_combine,
-                                        batch_format="pandas",
+                                        batch_format="pyarrow",
                                         batch_size=None)
     else:
         assembled = _assembled(turns)
-    return bucket_exchange(assembled.union(seed), dedup_bucket)
+    return bucket_exchange(assembled.union(seed), dedup_bucket,
+                           batch_format="pyarrow")
 
 
 def kg_pipeline(turns_path: str, out_dir: str | None = None,

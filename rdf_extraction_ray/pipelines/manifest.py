@@ -31,6 +31,7 @@ import shutil
 import pandas as pd
 
 from .kg import link_facts, read_turns
+from .reports import link_status_histogram
 from ..stages.dedup import bucket_exchange, dedup_triples
 from ..stages.extract import detect_facts, finalize_bucket
 from ..stages.template import build_triples
@@ -248,16 +249,9 @@ def _run_one_shard(turns_path: str, out_dir: str, s: int, n_shards: int,
     facts_linked = linked.count()
     turns_in = shard_turns.count()  # parquet metadata count — cheap
 
-    def _status_partial(df: pd.DataFrame) -> pd.DataFrame:
-        st = (df["link_status"].str.split(";").explode())
-        st = st[st.notna() & (st != "")]
-        vc = st.value_counts()
-        return pd.DataFrame({"status": vc.index, "n": vc.to_numpy()})
-
-    partials = linked.map_batches(_status_partial,
-                                  batch_format="pandas").to_pandas()
-    histogram = (partials.groupby("status")["n"].sum().astype(int)
-                 .to_dict() if len(partials) else {})
+    counts = link_status_histogram(linked)
+    histogram = {status: int(n)
+                 for status, n in zip(counts["status"], counts["n"])}
 
     triples = dedup_triples(
         linked.map_batches(build_triples, batch_format="pandas",
@@ -301,11 +295,7 @@ def read_output(out_dir: str):
     if not files:
         # a legitimately empty / fact-free corpus publishes manifest-only
         # shard dirs — return an empty Dataset in the triple schema
-        import pyarrow as pa
-        from ..namespaces import TRIPLE_COLUMNS
-        schema = pa.schema([
-            (c, pa.int32() if c == "turn_idx" else pa.string())
-            for c in TRIPLE_COLUMNS])
-        return rd.from_arrow(schema.empty_table())
+        from ..namespaces import TRIPLE_SCHEMA
+        return rd.from_arrow(TRIPLE_SCHEMA.empty_table())
     ds = rd.read_parquet(files)
     return dedup_triples(ds)

@@ -23,9 +23,14 @@ time); the fuzzy matcher memoizes per actor. URI minting is
 deterministic (same surface → same URI on every actor), which replaces
 the reference's in-RAM dedup caches (J11).
 
-``__call__`` is fully vectorized: every slot is a ``Series.map``
-against the broadcast dict, with Python only on the UNIQUE surfaces of
-a batch (cleaning, minting, fuzzy diagnostics) — never per row.
+``__call__`` resolves each slot over the UNIQUE surfaces of a batch
+(``functions.columns.per_unique``: one ``pd.factorize``, the scalar
+ladder below per unique surface, one gather back into numpy object
+arrays), so Python runs per distinct surface, never per row, and a
+call builds no pandas ``Series`` per slot. Every outcome comes from
+the scalar ladder; ``_term_routes`` mirrors ``link_term``'s routing
+of a term to its vocabulary (``test_batch_matches_scalar_ladder``
+pins the two together).
 
 Adds columns: ``person_uri, other_uri, place_uri, place2_uri,
 term_uri, org_uri, person_sex, link_status`` (a compact
@@ -39,6 +44,7 @@ from difflib import get_close_matches
 import numpy as np
 import pandas as pd
 
+from ..functions.columns import map_unique, per_unique
 from ..functions.text import clean_term, clean_term_stemmed, make_standard_uri
 from ..state.fixtures import WRITERS, build_linker_maps
 
@@ -46,13 +52,6 @@ LINKED_COLUMNS = ["person_uri", "other_uri", "place_uri", "place2_uri",
                   "term_uri", "org_uri", "person_sex", "link_status"]
 
 _FUZZY_CUTOFF = 0.8  # difflib default-ish; reference logs at this band
-
-
-def _map_unique(series: pd.Series, fn) -> pd.Series:
-    """Apply ``fn`` once per UNIQUE non-null value of ``series`` —
-    batch-level memoization for the scalar cleanup/minting functions."""
-    uniq = pd.unique(series.dropna())
-    return series.map({u: fn(u) for u in uniq})
 
 
 class EntityLinker:
@@ -81,25 +80,28 @@ class EntityLinker:
 
     # ------------------------------------------------------------ lookups
 
-    def link_person(self, surface: str | None) -> tuple[str | None, str]:
+    def link_person(self, surface: str | None,
+                    slot: str = "person") -> tuple[str | None, str]:
         """Alias dict hit → canonical URI; miss → deterministic
-        standard-name URI (reference ``get_name_uri`` fallback)."""
+        standard-name URI (reference ``get_name_uri`` fallback).
+        ``slot`` names the status (``person``/``other``)."""
         if surface is None:
             return None, ""
         hit = self.people.get(surface)
         if hit is not None:
-            return hit, "person=linked"
-        return make_standard_uri(surface), "person=minted"
+            return hit, f"{slot}=linked"
+        return make_standard_uri(surface), f"{slot}=minted"
 
-    def link_place(self, surface: str | None) -> tuple[str | None, str]:
+    def link_place(self, surface: str | None,
+                   slot: str = "place") -> tuple[str | None, str]:
         """``"Settlement, Region"`` → gazetteer URI; miss → None (the
         reference drops unmapped Places and counts the miss)."""
         if surface is None:
             return None, ""
         hit = self.places.get(clean_term(surface))
         if hit is not None:
-            return hit, "place=linked"
-        return None, "place=miss"
+            return hit, f"{slot}=linked"
+        return None, f"{slot}=miss"
 
     def link_org(self, surface: str | None) -> tuple[str | None, str]:
         if surface is None:
@@ -161,136 +163,75 @@ class EntityLinker:
             return self._vocab(self.degrees, clean_term(surface), "edu")
         return None, ""
 
-    # ------------------------------------------------------ vector ladder
-
-    def _vocab_series(self, table: dict[str, str], keys: pd.Series,
-                      kind: str, memo_kind: str | None = None
-                      ) -> tuple[pd.Series, pd.Series]:
-        """Vectorized ``_vocab``: dict map for the exact rung, Python
-        only on unique misses (fuzzy diagnostic, memoized per actor)."""
-        hit = keys.map(table)
-        status = pd.Series(
-            np.where(hit.notna(), f"{kind}=linked", ""), index=keys.index)
-        miss = hit.isna()
-        if miss.any():
-            mk = keys[miss]
-            mkind = memo_kind or kind
-            close = mk.map({k: self._fuzzy_lookup(table, mkind, k)
-                            for k in pd.unique(mk)})
-            status[miss] = np.where(close.notna(), f"{kind}=fuzzy",
-                                    f"{kind}=miss")
-            if self.fuzzy_substitute:
-                hit[miss] = close
-        return hit, status
-
-    def _mint_series(self, surfaces: pd.Series, slot: str,
-                     table: dict, mint, keyfn=None
-                     ) -> tuple[pd.Series, pd.Series]:
-        """Shared dict-hit-else-mint slot linker: lookup (optionally
-        through a cleaned key), mint deterministically on miss, and
-        report linked/minted status."""
-        keys = (_map_unique(surfaces, keyfn) if keyfn is not None
-                else surfaces)
-        hit = keys.map(table)
-        mint_mask = surfaces.notna() & hit.isna()
-        uri = hit.copy()
-        if mint_mask.any():
-            uri[mint_mask] = _map_unique(surfaces[mint_mask], mint)
-        status = pd.Series(np.where(
-            surfaces.isna(), "",
-            np.where(hit.notna(), f"{slot}=linked", f"{slot}=minted")),
-            index=surfaces.index)
-        return uri, status
-
-    def _person_series(self, surfaces: pd.Series,
-                       slot: str) -> tuple[pd.Series, pd.Series]:
-        return self._mint_series(surfaces, slot, self.people,
-                                 make_standard_uri)
-
-    def _place_series(self, surfaces: pd.Series,
-                      slot: str) -> tuple[pd.Series, pd.Series]:
-        uri = _map_unique(surfaces, clean_term).map(self.places)
-        status = pd.Series(np.where(
-            surfaces.isna(), "",
-            np.where(uri.notna(), f"{slot}=linked", f"{slot}=miss")),
-            index=surfaces.index)
-        return uri, status
-
     # ------------------------------------------------------------- batch
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        idx = batch.index
-        ft = batch["fact_type"]
+    def _term_routes(self, ft: np.ndarray, category: np.ndarray,
+                     has_term: np.ndarray):
+        """(rows, table, key fn, status kind, fuzzy memo kind) for each
+        vocabulary a term routes to; the cultural-form categories each
+        have their own table (a null category reads the empty one)."""
+        routes = [(ft == "occupation", self.occupations, clean_term, "occ"),
+                  (ft == "death", self.causes, clean_term, "cod"),
+                  ((ft == "education") & (category == "degree"),
+                   self.degrees, clean_term, "edu")]
+        for mask, table, keyfn, kind in routes:
+            yield np.flatnonzero(mask & has_term), table, keyfn, kind, kind
+        cf = (ft == "culturalform") & has_term
+        if cf.any():
+            cats = np.where(pd.isna(category), "", category)
+            for cat in pd.unique(cats[cf]):
+                yield (np.flatnonzero(cf & (cats == cat)),
+                       self.cultural_forms.get(cat, {}),
+                       clean_term_stemmed, "cf", f"cf:{cat}")
 
-        p_uri, p_status = self._person_series(batch["person"], "person")
-        o_uri, o_status = self._person_series(batch["other"], "other")
-        pl_uri, pl_status = self._place_series(batch["place"], "place")
+    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        def col(name):
+            return batch[name].to_numpy(dtype=object)
+
+        ft = col("fact_type")
+        p_uri, p_status = per_unique(col("person"), self.link_person,
+                                     (None, ""))
+        o_uri, o_status = per_unique(
+            col("other"), lambda s: self.link_person(s, "other"),
+            (None, ""))
+        pl_uri, pl_status = per_unique(col("place"), self.link_place,
+                                       (None, ""))
         # place2 gazetteer slot: part of the declared linker API for
         # location rows (pinned by the scalar-ladder differential
         # test) even though the current extractor only populates
         # place2 on education "degree" rows, where template.py reads
         # it as a raw literal — so on extractor output this lookup
         # sees only nulls
-        p2 = batch["place2"].where(ft == "location")
-        p2_uri, p2_status = self._place_series(p2, "place2")
+        p2_uri, p2_status = per_unique(
+            np.where(ft == "location", col("place2"), None),
+            lambda s: self.link_place(s, "place2"), (None, ""))
 
         # term → vocabulary, routed by fact type
-        term = batch["term"]
-        t_uri = pd.Series(np.full(len(batch), None, dtype=object), index=idx)
-        t_status = pd.Series("", index=idx)
-        for mask, table, keyfn, kind in (
-                ((ft == "occupation") & term.notna(),
-                 self.occupations, clean_term, "occ"),
-                ((ft == "death") & term.notna(),
-                 self.causes, clean_term, "cod"),
-                ((ft == "education") & (batch["category"] == "degree")
-                 & term.notna(), self.degrees, clean_term, "edu")):
-            if mask.any():
-                u, s = self._vocab_series(table,
-                                          _map_unique(term[mask], keyfn),
-                                          kind)
-                t_uri[mask] = u
-                t_status[mask] = s
-        cfm = (ft == "culturalform") & term.notna()
-        if cfm.any():
-            for cat, g in batch.loc[cfm].groupby("category", dropna=False):
-                cat_key = cat if isinstance(cat, str) else ""
-                table = self.cultural_forms.get(cat_key, {})
-                u, s = self._vocab_series(
-                    table, _map_unique(g["term"], clean_term_stemmed),
-                    "cf", memo_kind=f"cf:{cat_key}")
-                t_uri[g.index] = u
-                t_status[g.index] = s
+        term = col("term")
+        t_uri = np.full(len(batch), None, dtype=object)
+        t_status = np.full(len(batch), "", dtype=object)
+        for rows, table, keyfn, kind, memo_kind in self._term_routes(
+                ft, col("category"), pd.notna(term)):
+            if len(rows):
+                t_uri[rows], t_status[rows] = per_unique(
+                    term[rows],
+                    lambda s: self._vocab(table, keyfn(s), kind, memo_kind),
+                    (None, ""))
 
-        org_uri, org_status = self._mint_series(
-            batch["org"], "org", self.orgs,
-            lambda s: make_standard_uri(s + " ORG"), keyfn=clean_term)
-
-        # link_status: non-empty slot statuses joined with ";" in the
-        # fixed slot order person, other, place, place2, term, org
-        combined = np.full(len(batch), "", dtype=object)
-        for part in (p_status, o_status, pl_status, p2_status, t_status,
-                     org_status):
-            pv = part.to_numpy()
-            combined = np.where(
-                pv == "", combined,
-                np.where(combined == "", pv, combined + ";" + pv))
-
-        out["person_uri"] = p_uri
-        out["other_uri"] = o_uri
-        out["place_uri"] = pl_uri
-        out["place2_uri"] = p2_uri
-        out["term_uri"] = t_uri
-        out["org_uri"] = org_uri
-        out["person_sex"] = p_uri.map(self._sex_by_uri)
-        out["link_status"] = combined
-
-        # location facts whose place failed the gazetteer are marked
-        # dropped — the reference filters Location(value=None)
-        # (location.py:120) — but the row is KEPT so the miss counters
-        # (§2.6 A3) can still aggregate link_status; templating skips
-        # dropped rows.
-        out["dropped"] = ((out["fact_type"] == "location")
-                          & out["place_uri"].isna())
-        return out
+        org_uri, org_status = per_unique(col("org"), self.link_org,
+                                         (None, ""))
+        return batch.assign(
+            person_uri=p_uri, other_uri=o_uri, place_uri=pl_uri,
+            place2_uri=p2_uri, term_uri=t_uri, org_uri=org_uri,
+            person_sex=map_unique(p_uri, self._sex_by_uri.get),
+            # non-empty slot statuses joined with ";" in the fixed slot
+            # order person, other, place, place2, term, org
+            link_status=[";".join(filter(None, st)) for st in zip(
+                p_status, o_status, pl_status, p2_status, t_status,
+                org_status)],
+            # location facts whose place failed the gazetteer are
+            # marked dropped — the reference filters
+            # Location(value=None) (location.py:120) — but the row is
+            # KEPT so the miss counters (§2.6 A3) can still aggregate
+            # link_status; templating skips dropped rows.
+            dropped=(ft == "location") & pd.isna(pl_uri))

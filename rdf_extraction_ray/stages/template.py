@@ -3,8 +3,12 @@
 Re-expresses the reference's Context/Activity/Event ``to_triple``
 builders (``Utils/context.py:284-461``, ``Utils/activity.py:370-527``,
 ``Utils/event.py:193-251``) as a pure, vectorized ``map_batches``
-stage: one pandas pass per fact type, string-concat building the
-(subj, pred, obj, obj_kind, obj_lang, obj_datatype) columns.
+stage: the fact columns are read as numpy arrays once, each fact type
+selects its rows by position, string concatenation over those arrays
+builds the (subj, pred, obj, obj_kind, obj_lang, obj_datatype)
+columns, and every call returns ONE Arrow table (:class:`_Emitter`).
+Scalar helpers (URI minting, date parsing) run once per distinct
+value (``functions.columns``).
 
 Deterministic ID scheme (replaces blank nodes + order-dependent
 counters, SURVEY §7.5.1/7.5.6):
@@ -25,9 +29,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.columns import map_unique, per_unique
 from ..functions.dates import date_parse, timestamp_predicate, xsd_datatype_for
 from ..functions.text import limit_words, make_standard_uri
-from ..namespaces import NS, TRIPLE_COLUMNS, uri
+from ..namespaces import NS, TRIPLE_SCHEMA, uri
 from ..state.fixtures import FAMILY_RELATIONS
 
 _MAX_PROFILE_WORDS = 35  # reference MAX_WORD_COUNT (utilities.py:30)
@@ -67,99 +72,141 @@ _LABEL = NS["rdfs"] + "label"
 
 
 class _Emitter:
-    """Accumulates homogeneous triple column-arrays cheaply: each
-    :meth:`emit` keeps only its masked, non-null numpy columns (a
-    scalar stays a scalar), and :meth:`frame` / :meth:`table` build
-    ONE frame or table per call from their concatenation — a pandas
-    frame per emit was most of a call's fixed cost."""
+    """Accumulates triple columns for ONE Arrow table per call. Each
+    :meth:`emit` keeps the batch row positions it covers and its
+    masked, non-null value columns (a scalar stays a scalar);
+    :meth:`table` builds each column once and gathers ``conv_id`` and
+    ``turn_idx`` for every emitted row in one take."""
 
-    def __init__(self):
-        self.parts: list[tuple[int, list]] = []
+    def __init__(self, conv: np.ndarray, tidx: np.ndarray):
+        self.conv, self.tidx = conv, tidx
+        self.parts: list[tuple[np.ndarray, list]] = []
 
-    def emit(self, subj, pred, obj, kind="uri", lang="", dtype="",
-             conv=None, tidx=None, mask=None):
-        """Each arg is a Series/array (aligned by position) or scalar;
-        mask selects. Rows with a null ``subj`` or ``obj`` are dropped."""
-        cols = [c if np.ndim(c) == 0 else np.asarray(c)
-                for c in (subj, pred, obj, kind, lang, dtype, conv, tidx)]
-        n = next(len(c) for c in cols if np.ndim(c))
-        keep = (np.ones(n, bool) if mask is None
-                else np.asarray(mask, bool).copy())
-        for c in cols[0], cols[2]:
-            keep &= pd.notna(c)
-        k = int(keep.sum())
-        if k:
-            self.parts.append((k, [c if np.ndim(c) == 0 else c[keep]
-                                   for c in cols]))
-
-    def _columns(self) -> dict:
-        return {name: np.concatenate([
-                    cols[j] if np.ndim(cols[j])
-                    else np.full(k, cols[j], dtype=object)
-                    for k, cols in self.parts])
-                for j, name in enumerate(TRIPLE_COLUMNS)}
-
-    def frame(self) -> pd.DataFrame:
-        if not self.parts:
-            return pd.DataFrame(columns=TRIPLE_COLUMNS)
-        return pd.DataFrame(self._columns())
+    def emit(self, rows, subj, pred, obj, kind="uri", lang="", dtype="",
+             mask=None):
+        """``rows`` are batch row positions; every other arg is a numpy
+        array aligned with ``rows`` or a scalar, and ``mask`` selects.
+        Rows with a null ``subj`` or ``obj`` are dropped."""
+        keep = (np.ones(len(rows), bool) if mask is None
+                else np.asarray(mask, bool))
+        for c in subj, obj:
+            if isinstance(c, np.ndarray):
+                # None and NaN are null; an object compare is cheaper
+                # per call than pd.notna
+                keep = keep & (c != None) & (c == c)  # noqa: E711
+            elif c is None:
+                return
+        if keep.all():
+            self.parts.append((rows, [subj, pred, obj, kind, lang, dtype]))
+        elif keep.any():
+            self.parts.append((rows[keep], [
+                c[keep] if isinstance(c, np.ndarray) else c
+                for c in (subj, pred, obj, kind, lang, dtype)]))
 
     def table(self) -> pa.Table:
-        cols = (self._columns() if self.parts
-                else dict.fromkeys(TRIPLE_COLUMNS, []))
-        return pa.table({
-            c: pa.array(v, from_pandas=True,
-                        type=pa.int32() if c == "turn_idx" else pa.string())
-            for c, v in cols.items()})
+        if not self.parts:
+            return TRIPLE_SCHEMA.empty_table()
+        rows = np.concatenate([r for r, _ in self.parts])
+        sizes = [len(r) for r, _ in self.parts]
+        return pa.Table.from_arrays(
+            [_string_column([cols[j] for _, cols in self.parts], sizes)
+             for j in range(6)]
+            + [pa.array(self.conv[rows], pa.string()),
+               pa.array(self.tidx[rows], pa.int32())],
+            schema=TRIPLE_SCHEMA)
 
 
-def _date_columns(dates: pd.Series) -> tuple[list, list, list, list]:
-    """Row-wise date scalar pass (strptime waterfall stays row-wise):
-    returns (lexical, datatype, start_iso-or-None, ok)."""
-    lex, dtyp, start, ok = [], [], [], []
-    for d in dates:
-        if d is None or d != d:
-            lex.append(None); dtyp.append(""); start.append(None); ok.append(False)
-            continue
-        l, t = xsd_datatype_for(d)
-        lex.append(l); dtyp.append("" if t == "" else t)
-        s, good, _ = date_parse(d)
-        start.append(s if good else None)
-        ok.append(good)
-    return lex, dtyp, start, ok
+def _string_column(values: list, sizes: list[int]) -> pa.Array:
+    """One string column from per-part values, each an object array of
+    its part's size or a scalar that fills the part. A scalar never
+    becomes a Python object per row: the column is one Arrow ``take``
+    over the parts' row values followed by the distinct scalars."""
+    arrays = [v for v in values if isinstance(v, np.ndarray)]
+    pool = pa.array(np.concatenate(arrays) if arrays else [], pa.string(),
+                    from_pandas=True)
+    scalars = list(dict.fromkeys(
+        v for v in values if not isinstance(v, np.ndarray)))
+    if not scalars:
+        return pool
+    slot = {v: len(pool) + i for i, v in enumerate(scalars)}
+    index = np.empty(sum(sizes), dtype=np.int64)
+    start = row = 0
+    for v, k in zip(values, sizes):
+        if isinstance(v, np.ndarray):
+            index[start:start + k] = np.arange(row, row + k)
+            row += k
+        else:
+            index[start:start + k] = slot[v]
+        start += k
+    return pa.concat_arrays([pool, pa.array(scalars, pa.string())]).take(
+        index)
+
+
+def _rows_by(values: np.ndarray) -> dict:
+    """Row positions of each distinct value, in row order."""
+    codes, uniques = pd.factorize(values)
+    return {u: np.flatnonzero(codes == i) for i, u in enumerate(uniques)}
+
+
+def _dates(dates: np.ndarray) -> list[np.ndarray]:
+    """The strptime waterfall once per distinct date: (lexical,
+    datatype, start-iso-or-None, parsed-ok) per row."""
+    def parse(d):
+        lex, dtype = xsd_datatype_for(d)
+        start, ok, _ = date_parse(d)
+        return lex, dtype, start if ok else None, ok
+    return per_unique(dates, parse, (None, "", None, False))
+
+
+def _kg(term: str) -> str | None:
+    return None if term is None else uri("kg", term)
+
+
+_CTX_URI = {ft: uri("kg", c) for ft, c in CONTEXT_CLASS.items()}
+_OTHER_CTX_URI = {c: uri("kg", k) for c, k in OTHER_CONTEXT_CLASS.items()}
+_OCC_PRED = {"paid": uri("kg", "hasPaidOccupation"),
+             "volunteer": uri("kg", "hasVolunteerOccupation")}
+_FRIEND_PRED = {"friend": uri("kg", "interpersonalRelationshipWith"),
+                "cohabitant": uri("kg", "cohabitant")}
+_CF_URI = {c: uri("kg", p) for c, p in CF_PRED.items()}
 
 
 def _emit_triples(batch: pd.DataFrame) -> _Emitter:
-    """Shared body: linked fact rows → triple emitter."""
-    b = batch[~batch["dropped"].astype(bool)].reset_index(drop=True)
-    if not len(b):
-        return _Emitter()
-    em = _Emitter()
-    conv = b["conv_id"]
-    tidx = b["turn_idx"]
+    """Shared body: linked fact rows → triple emitter. The fact
+    columns are taken as numpy arrays once; each fact type selects
+    its rows by position."""
+    keep = ~batch["dropped"].astype(bool).to_numpy()
+    b = {c: batch[c].to_numpy(dtype=object)[keep] for c in (
+        "conv_id", "fact_type", "category", "person_uri", "other_uri",
+        "place_uri", "place", "term_uri", "term", "date", "certainty",
+        "amount", "snippet", "title", "other", "place2", "org_uri",
+        "person_sex")}
+    tidx = batch["turn_idx"].to_numpy()[keep]
+    seq = batch["seq"].to_numpy()[keep].astype(str).astype(object)
+    conv, ft, cat = b["conv_id"], b["fact_type"], b["category"]
+    em = _Emitter(conv, tidx)
+    if not len(conv):
+        return em
     data_ns = NS["data"]
-    C = data_ns + conv + "_context_" + b["seq"].astype(str)
-    A = data_ns + conv + "_activity_" + b["seq"].astype(str)
-    TURN = data_ns + conv + "_turn_" + tidx.astype(str)
+    C = data_ns + conv + "_context_" + seq
+    A = data_ns + conv + "_activity_" + seq
+    TURN = data_ns + conv + "_turn_" + tidx.astype(str).astype(object)
     P = b["person_uri"]
-    ctx_class = b["fact_type"].map(CONTEXT_CLASS)
-    oc = (b["fact_type"] == "othercontext")
-    if oc.any():  # per-category class (HealthContext etc.)
-        ctx_class = ctx_class.where(
-            ~oc, b["category"].map(OTHER_CONTEXT_CLASS))
-    ctx_class = ctx_class.map(
-        lambda c: uri("kg", c) if isinstance(c, str) else None)
+    by_type = _rows_by(ft)
+    ctx_class = map_unique(ft, _CTX_URI.get)
+    oc = by_type.get("othercontext")
+    if oc is not None:  # per-category class (HealthContext etc.)
+        ctx_class[oc] = map_unique(cat[oc], _OTHER_CTX_URI.get)
 
     # ---- context frame (every fact): type, subject, target, snippet
-    em.emit(C, _R, ctx_class, conv=conv, tidx=tidx)
-    em.emit(C, uri("kg", "hasSubject"), P, conv=conv, tidx=tidx)
-    em.emit(C, NS["oa"] + "hasTarget", TURN, conv=conv, tidx=tidx)
-    em.emit(C, uri("kg", "snippet"), b["snippet"], kind="literal", lang="en",
-            conv=conv, tidx=tidx)
+    every = np.arange(len(conv))
+    em.emit(every, C, _R, ctx_class)
+    em.emit(every, C, uri("kg", "hasSubject"), P)
+    em.emit(every, C, NS["oa"] + "hasTarget", TURN)
+    em.emit(every, C, uri("kg", "snippet"), b["snippet"], kind="literal",
+            lang="en")
     # ---- person node (collapses in dedup)
-    em.emit(P, _R, NS["crm"] + "E21_Person", conv=conv, tidx=tidx)
-
-    ft = b["fact_type"]
+    em.emit(every, P, _R, NS["crm"] + "E21_Person")
 
     # ---------------------------------------------------------- birth/death
     for kind, ev_class, ev_pred, date_pred, place_pred in (
@@ -167,287 +214,228 @@ def _emit_triples(batch: pd.DataFrame) -> _Emitter:
              "hasBirthDate", "hasBirthPlace"),
             ("death", "E69_Death", "P100_was_death_of",
              "hasDeathDate", "hasDeathPlace")):
-        m = (ft == kind).to_numpy()
-        if not m.any():
+        r = by_type.get(kind)
+        if r is None:
             continue
-        sub = b[m]
-        lex, dtyp, start, ok = _date_columns(sub["date"])
-        sA, sP = A[m], P[m]
-        em.emit(sA, _R, NS["crm"] + ev_class, conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(sA, NS["crm"] + ev_pred, sP, conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(sP, uri("kg", date_pred), pd.Series(lex, index=sub.index),
-                kind="literal", dtype=pd.Series(dtyp, index=sub.index),
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+        lex, dtyp, start, _ = _dates(b["date"][r])
+        sA, sP = A[r], P[r]
+        em.emit(r, sA, _R, NS["crm"] + ev_class)
+        em.emit(r, sA, NS["crm"] + ev_pred, sP)
+        em.emit(r, sP, uri("kg", date_pred), lex, kind="literal",
+                dtype=dtyp)
         # place: gazetteer URI when linked, else the raw surface literal
-        linked = sub["place_uri"].notna()
-        em.emit(sP, uri("kg", place_pred), sub["place_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=linked)
-        em.emit(sP, uri("kg", place_pred), sub["place"], kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=~linked)
+        linked = pd.notna(b["place_uri"][r])
+        em.emit(r, sP, uri("kg", place_pred), b["place_uri"][r],
+                mask=linked)
+        em.emit(r, sP, uri("kg", place_pred), b["place"][r],
+                kind="literal", mask=~linked)
         # SEM timestamp (certainty → predicate choice, event.py:176-191)
-        ts_pred = sub["certainty"].fillna("").map(
-            lambda c: NS["sem"] + timestamp_predicate(c))
-        em.emit(sA, ts_pred, pd.Series(start, index=sub.index), kind="literal",
-                dtype="xsd:dateTime", conv=sub["conv_id"], tidx=sub["turn_idx"])
+        ts_pred = map_unique(b["certainty"][r],
+                             lambda c: NS["sem"] + timestamp_predicate(c),
+                             null=NS["sem"] + timestamp_predicate(""))
+        em.emit(r, sA, ts_pred, start, kind="literal",
+                dtype="xsd:dateTime")
         if kind == "death":
-            cod_linked = sub["term_uri"].notna()
-            em.emit(sP, uri("kg", "hasCauseOfDeath"), sub["term_uri"],
-                    conv=sub["conv_id"], tidx=sub["turn_idx"], mask=cod_linked)
-            em.emit(sP, uri("kg", "hasCauseOfDeath"), sub["term"],
-                    kind="literal", conv=sub["conv_id"],
-                    tidx=sub["turn_idx"], mask=~cod_linked)
+            cod_linked = pd.notna(b["term_uri"][r])
+            em.emit(r, sP, uri("kg", "hasCauseOfDeath"), b["term_uri"][r],
+                    mask=cod_linked)
+            em.emit(r, sP, uri("kg", "hasCauseOfDeath"), b["term"][r],
+                    kind="literal", mask=~cod_linked)
 
     # -------------------------------------------------------------- burial
-    m = (ft == "burial").to_numpy()
-    if m.any():
-        sub = b[m]
-        linked = sub["place_uri"].notna()
-        em.emit(P[m], uri("kg", "hasBurialPlace"), sub["place_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=linked)
-        em.emit(P[m], uri("kg", "hasBurialPlace"), sub["place"],
-                kind="literal", conv=sub["conv_id"], tidx=sub["turn_idx"],
-                mask=~linked)
+    r = by_type.get("burial")
+    if r is not None:
+        linked = pd.notna(b["place_uri"][r])
+        em.emit(r, P[r], uri("kg", "hasBurialPlace"), b["place_uri"][r],
+                mask=linked)
+        em.emit(r, P[r], uri("kg", "hasBurialPlace"), b["place"][r],
+                kind="literal", mask=~linked)
 
     # ---------------------------------------------------------- occupation
-    m = (ft == "occupation").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(A[m], _R, NS["crm"] + "E7_Activity",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(A[m], NS["crm"] + "P14_carried_out_by", P[m],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        pred = sub["category"].map({
-            "paid": uri("kg", "hasPaidOccupation"),
-            "volunteer": uri("kg", "hasVolunteerOccupation")})
-        linked = sub["term_uri"].notna()
-        em.emit(P[m], pred, sub["term_uri"], conv=sub["conv_id"],
-                tidx=sub["turn_idx"], mask=linked)
-        em.emit(P[m], pred, sub["term"], kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=~linked)
+    r = by_type.get("occupation")
+    if r is not None:
+        em.emit(r, A[r], _R, NS["crm"] + "E7_Activity")
+        em.emit(r, A[r], NS["crm"] + "P14_carried_out_by", P[r])
+        pred = map_unique(cat[r], _OCC_PRED.get)
+        linked = pd.notna(b["term_uri"][r])
+        em.emit(r, P[r], pred, b["term_uri"][r], mask=linked)
+        em.emit(r, P[r], pred, b["term"][r], kind="literal", mask=~linked)
 
-    m = (ft == "income").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(P[m], uri("kg", "hasIncome"), sub["amount"], kind="literal",
-                dtype="xsd:int", conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("income")
+    if r is not None:
+        em.emit(r, P[r], uri("kg", "hasIncome"), b["amount"][r],
+                kind="literal", dtype="xsd:int")
 
     # ------------------------------------------------------------ location
-    m = (ft == "location").to_numpy()
-    if m.any():
-        sub = b[m]
-        pred = sub["category"].map(LOCATION_PRED).map(lambda p: uri("kg", p))
-        em.emit(P[m], pred, sub["place_uri"], conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
+    r = by_type.get("location")
+    if r is not None:
+        pred = map_unique(cat[r], lambda c: _kg(LOCATION_PRED.get(c)))
+        em.emit(r, P[r], pred, b["place_uri"][r])
 
     # ------------------------------------------------------- cultural form
-    m = (ft == "culturalform").to_numpy()
-    if m.any():
-        sub = b[m]
-        is_lang = (sub["category"] == "language").to_numpy()
-        pred = pd.Series(np.where(
-            is_lang,
-            sub["certainty"].map(lambda c: uri(
-                "kg", LANG_PRED.get(c or "", "hasLinguisticAbility"))),
-            sub["category"].map(
-                lambda c: uri("kg", CF_PRED[c]) if c in CF_PRED else None)),
-            index=sub.index)
-        linked = sub["term_uri"].notna()
-        em.emit(P[m], pred, sub["term_uri"], conv=sub["conv_id"],
-                tidx=sub["turn_idx"], mask=linked)
-        em.emit(P[m], pred, sub["term"], kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=~linked)
+    r = by_type.get("culturalform")
+    if r is not None:
+        default = uri("kg", "hasLinguisticAbility")
+        pred = np.where(
+            cat[r] == "language",
+            map_unique(b["certainty"][r],
+                       lambda c: uri("kg", LANG_PRED.get(
+                           c, "hasLinguisticAbility")), null=default),
+            map_unique(cat[r], _CF_URI.get))
+        linked = pd.notna(b["term_uri"][r])
+        em.emit(r, P[r], pred, b["term_uri"][r], mask=linked)
+        em.emit(r, P[r], pred, b["term"][r], kind="literal", mask=~linked)
 
     # -------------------------------------------------------------- family
-    m = (ft == "family").to_numpy()
-    if m.any():
-        sub = b[m]
-        fwd = sub["term"].map(lambda r: uri("kg", FAMILY_RELATIONS[r][0]))
+    r = by_type.get("family")
+    if r is not None:
+        rel = b["term"][r]
+        fwd, inv_m, inv_f = per_unique(
+            rel, lambda t: tuple(uri("kg", p) for p in FAMILY_RELATIONS[t]),
+            (None, None, None))
         # sex-conditional inverse (lifeInfo.py:294-467): the inverse
         # predicate names the SUBJECT as seen from the other person
-        inv = [uri("kg", FAMILY_RELATIONS[r][1] if sx == "MALE"
-                   else FAMILY_RELATIONS[r][2])
-               for r, sx in zip(sub["term"], sub["person_sex"])]
-        em.emit(P[m], fwd, sub["other_uri"], conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
-        em.emit(sub["other_uri"], pd.Series(inv, index=sub.index), P[m],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+        inv = np.where(b["person_sex"][r] == "MALE", inv_m, inv_f)
+        em.emit(r, P[r], fwd, b["other_uri"][r])
+        em.emit(r, b["other_uri"][r], inv, P[r])
 
     # -------------------------------------------------------------- friend
-    m = (ft == "friend").to_numpy()
-    if m.any():
-        sub = b[m]
-        pred = sub["category"].map({
-            "friend": uri("kg", "interpersonalRelationshipWith"),
-            "cohabitant": uri("kg", "cohabitant")})
-        em.emit(P[m], pred, sub["other_uri"], conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
+    r = by_type.get("friend")
+    if r is not None:
+        em.emit(r, P[r], map_unique(cat[r], _FRIEND_PRED.get),
+                b["other_uri"][r])
 
     # ------------------------------------------------------- childlessness
-    m = (ft == "childlessness").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(P[m], uri("kg", "reproductiveHistory"),
-                sub["category"].map(lambda c: uri("kg", c)),
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("childlessness")
+    if r is not None:
+        em.emit(r, P[r], uri("kg", "reproductiveHistory"),
+                map_unique(cat[r], _kg))
 
     # ----------------------------------------------------------- education
-    m = ((ft == "education") & (b["category"] == "study")).to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(P[m], uri("kg", "studiedSubject"), sub["term"],
-                kind="literal", conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(P[m], uri("kg", "attendedSchool"), sub["org_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-    m = ((ft == "education") & (b["category"] == "degree")).to_numpy()
-    if m.any():
-        sub = b[m]
-        linked = sub["term_uri"].notna()
-        em.emit(P[m], uri("kg", "holdsDegree"), sub["term_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=linked)
-        em.emit(P[m], uri("kg", "holdsDegree"), sub["term"], kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=~linked)
-        em.emit(P[m], uri("kg", "studiedSubject"), sub["place2"],
-                kind="literal", conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("education")
+    if r is not None:
+        s = r[cat[r] == "study"]
+        if len(s):
+            em.emit(s, P[s], uri("kg", "studiedSubject"), b["term"][s],
+                    kind="literal")
+            em.emit(s, P[s], uri("kg", "attendedSchool"), b["org_uri"][s])
+        d = r[cat[r] == "degree"]
+        if len(d):
+            linked = pd.notna(b["term_uri"][d])
+            em.emit(d, P[d], uri("kg", "holdsDegree"), b["term_uri"][d],
+                    mask=linked)
+            em.emit(d, P[d], uri("kg", "holdsDegree"), b["term"][d],
+                    kind="literal", mask=~linked)
+            em.emit(d, P[d], uri("kg", "studiedSubject"), b["place2"][d],
+                    kind="literal")
 
     # ---------------------------------------------------------------- title
-    m = (ft == "title").to_numpy()
-    if m.any():
-        sub = b[m]
-        W = sub["title"].map(lambda t: make_standard_uri(t + " TITLE"))
-        em.emit(P[m], uri("kg", "authorOf"), W, conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
-        em.emit(W, _R, uri("kg", "Title"), conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
-        em.emit(W, _LABEL, sub["title"], kind="literal", lang="en",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("title")
+    if r is not None:
+        W = map_unique(b["title"][r],
+                       lambda t: make_standard_uri(t + " TITLE"))
+        em.emit(r, P[r], uri("kg", "authorOf"), W)
+        em.emit(r, W, _R, uri("kg", "Title"))
+        em.emit(r, W, _LABEL, b["title"][r], kind="literal", lang="en")
 
     # ------------------------------------------------------------------ org
-    m = (ft == "org").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(P[m], uri("kg", "memberOf"), sub["org_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("org")
+    if r is not None:
+        em.emit(r, P[r], uri("kg", "memberOf"), b["org_uri"][r])
 
     # ----------------------------------------------------------- biographer
-    m = (ft == "biographer").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(P[m], uri("kg", "hasBiographer"), sub["other_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("biographer")
+    if r is not None:
+        em.emit(r, P[r], uri("kg", "hasBiographer"), b["other_uri"][r])
 
     # ---------------------------------------------------------- person name
     # typed name entities (reference personname.py:131-269): nickname →
     # a Nickname node with label; birth name → a BirthName node with
     # given/surname parts (personname.py:241-269)
-    m = ((ft == "personname") & (b["category"] == "nickname")).to_numpy()
-    if m.any():
-        sub = b[m]
-        N = sub["term"].map(lambda t: make_standard_uri(t + " NAME"))
-        em.emit(P[m], uri("kg", "hasNickname"), N,
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, _R, uri("kg", "Nickname"),
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, _LABEL, sub["term"], kind="literal", lang="en",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-    m = ((ft == "personname") & (b["category"] == "birthname")).to_numpy()
-    if m.any():
-        sub = b[m]
-        N = sub["other"].map(lambda t: make_standard_uri(t + " BIRTHNAME"))
-        given = sub["other"].map(lambda t: t.rsplit(" ", 1)[0])
-        surname = sub["other"].map(lambda t: t.rsplit(" ", 1)[-1])
-        em.emit(P[m], uri("kg", "hasBirthName"), N,
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, _R, uri("kg", "BirthName"),
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, uri("kg", "givenName"), given, kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, uri("kg", "surname"), surname, kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("personname")
+    if r is not None:
+        n = r[cat[r] == "nickname"]
+        if len(n):
+            N = map_unique(b["term"][n],
+                           lambda t: make_standard_uri(t + " NAME"))
+            em.emit(n, P[n], uri("kg", "hasNickname"), N)
+            em.emit(n, N, _R, uri("kg", "Nickname"))
+            em.emit(n, N, _LABEL, b["term"][n], kind="literal", lang="en")
+        n = r[cat[r] == "birthname"]
+        if len(n):
+            N, given, surname = per_unique(
+                b["other"][n],
+                lambda t: (make_standard_uri(t + " BIRTHNAME"),
+                           t.rsplit(" ", 1)[0], t.rsplit(" ", 1)[-1]),
+                (None, None, None))
+            em.emit(n, P[n], uri("kg", "hasBirthName"), N)
+            em.emit(n, N, _R, uri("kg", "BirthName"))
+            em.emit(n, N, uri("kg", "givenName"), given, kind="literal")
+            em.emit(n, N, uri("kg", "surname"), surname, kind="literal")
 
     # ------------------------------------------------------ profile summary
     # author-summary profile literal, hard 35-word limit (reference
     # writing_extraction.py:29-70 + utilities.py:30 MAX_WORD_COUNT)
-    m = (ft == "profile").to_numpy()
-    if m.any():
-        sub = b[m]
-        prof = sub["term"].map(
-            lambda t: limit_words(t, _MAX_PROFILE_WORDS))
-        em.emit(P[m], uri("kg", "hasProfileDescription"), prof,
-                kind="literal", lang="en",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("profile")
+    if r is not None:
+        prof = map_unique(b["term"][r],
+                          lambda t: limit_words(t, _MAX_PROFILE_WORDS))
+        em.emit(r, P[r], uri("kg", "hasProfileDescription"), prof,
+                kind="literal", lang="en")
 
     # ------------------------------------------------------- other contexts
     # VIOLENCE/WEALTH/LEISURE/HEALTH → identifying context + generic
     # E7 activity (reference other_contexts.py:14-109)
-    m = (ft == "othercontext").to_numpy()
-    if m.any():
-        sub = b[m]
-        em.emit(A[m], _R, NS["crm"] + "E7_Activity",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(A[m], NS["crm"] + "P14_carried_out_by", P[m],
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        cat = sub["category"]
-        em.emit(P[m], uri("kg", "hasHealthCondition"), sub["term"],
-                kind="literal", conv=sub["conv_id"], tidx=sub["turn_idx"],
-                mask=(cat == "health"))
-        em.emit(P[m], uri("kg", "hasLeisureActivity"), sub["term"],
-                kind="literal", conv=sub["conv_id"], tidx=sub["turn_idx"],
-                mask=(cat == "leisure"))
-        em.emit(P[m], uri("kg", "inheritedWealth"), sub["amount"],
-                kind="literal", dtype="xsd:int", conv=sub["conv_id"],
-                tidx=sub["turn_idx"], mask=(cat == "wealth"))
-        viol = (cat == "violence")
+    if oc is not None:
+        r, c = oc, cat[oc]
+        em.emit(r, A[r], _R, NS["crm"] + "E7_Activity")
+        em.emit(r, A[r], NS["crm"] + "P14_carried_out_by", P[r])
+        em.emit(r, P[r], uri("kg", "hasHealthCondition"), b["term"][r],
+                kind="literal", mask=(c == "health"))
+        em.emit(r, P[r], uri("kg", "hasLeisureActivity"), b["term"][r],
+                kind="literal", mask=(c == "leisure"))
+        em.emit(r, P[r], uri("kg", "inheritedWealth"), b["amount"][r],
+                kind="literal", dtype="xsd:int", mask=(c == "wealth"))
+        viol = c == "violence"
         if viol.any():
-            linked = sub["place_uri"].notna()
-            em.emit(P[m], uri("kg", "experiencedViolenceAt"),
-                    sub["place_uri"], conv=sub["conv_id"],
-                    tidx=sub["turn_idx"], mask=(viol & linked))
-            em.emit(P[m], uri("kg", "experiencedViolenceAt"), sub["place"],
-                    kind="literal", conv=sub["conv_id"],
-                    tidx=sub["turn_idx"], mask=(viol & ~linked))
+            linked = pd.notna(b["place_uri"][r])
+            em.emit(r, P[r], uri("kg", "experiencedViolenceAt"),
+                    b["place_uri"][r], mask=viol & linked)
+            em.emit(r, P[r], uri("kg", "experiencedViolenceAt"),
+                    b["place"][r], kind="literal", mask=viol & ~linked)
 
     # ------------------------------------------------------------- citation
     # BIBCIT → cito:Citation + refers-to wiring (Utils/citation.py:27-72)
-    m = (ft == "citation").to_numpy()
-    if m.any():
-        sub = b[m]
-        N = data_ns + sub["conv_id"] + "_citation_" + sub["seq"].astype(str)
-        W = sub["title"].map(lambda t: make_standard_uri(t + " TITLE"))
-        em.emit(N, _R, NS["cito"] + "Citation",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, NS["cito"] + "hasCitedEntity", W,
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(N, uri("kg", "pageNumber"), sub["amount"], kind="literal",
-                dtype="xsd:int", conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(C[m], uri("kg", "hasCitation"), N,
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+    r = by_type.get("citation")
+    if r is not None:
+        N = data_ns + conv[r] + "_citation_" + seq[r]
+        W = map_unique(b["title"][r],
+                       lambda t: make_standard_uri(t + " TITLE"))
+        em.emit(r, N, _R, NS["cito"] + "Citation")
+        em.emit(r, N, NS["cito"] + "hasCitedEntity", W)
+        em.emit(r, N, uri("kg", "pageNumber"), b["amount"][r],
+                kind="literal", dtype="xsd:int")
+        em.emit(r, C[r], uri("kg", "hasCitation"), N)
 
     # --------------------------------------------------- freestanding event
     # person-less SEM event (reference freestanding_events.py:50-103;
     # blank-node place skolemized per SURVEY §7.5.6)
-    m = (ft == "event").to_numpy()
-    if m.any():
-        sub = b[m]
-        E = data_ns + sub["conv_id"] + "_event_" + sub["seq"].astype(str)
-        lex, dtyp, start, ok = _date_columns(sub["date"])
-        em.emit(E, _R, NS["sem"] + "Event",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        em.emit(E, _LABEL, sub["term"], kind="literal", lang="en",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
-        linked = sub["place_uri"].notna()
-        em.emit(E, NS["sem"] + "hasPlace", sub["place_uri"],
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=linked)
-        em.emit(E, NS["sem"] + "hasPlace", sub["place"], kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"], mask=~linked)
-        em.emit(E, NS["sem"] + "hasTimeStamp",
-                pd.Series(start, index=sub.index), kind="literal",
-                dtype="xsd:dateTime", conv=sub["conv_id"],
-                tidx=sub["turn_idx"])
+    r = by_type.get("event")
+    if r is not None:
+        E = data_ns + conv[r] + "_event_" + seq[r]
+        lex, _, start, ok = _dates(b["date"][r])
+        em.emit(r, E, _R, NS["sem"] + "Event")
+        em.emit(r, E, _LABEL, b["term"][r], kind="literal", lang="en")
+        linked = pd.notna(b["place_uri"][r])
+        em.emit(r, E, NS["sem"] + "hasPlace", b["place_uri"][r],
+                mask=linked)
+        em.emit(r, E, NS["sem"] + "hasPlace", b["place"][r],
+                kind="literal", mask=~linked)
+        em.emit(r, E, NS["sem"] + "hasTimeStamp", start, kind="literal",
+                dtype="xsd:dateTime")
         # unparseable dates stay lexical (event.py:90-110 quirk)
-        lex_only = pd.Series(lex, index=sub.index).where(
-            ~pd.Series(ok, index=sub.index), None)
-        em.emit(E, NS["sem"] + "hasTime", lex_only, kind="literal",
-                conv=sub["conv_id"], tidx=sub["turn_idx"])
+        em.emit(r, E, NS["sem"] + "hasTime",
+                np.where(ok.astype(bool), None, lex), kind="literal")
 
     return em
 
@@ -458,6 +446,6 @@ def build_triples(batch: pd.DataFrame) -> pa.Table:
 
 
 def build_triples_frame(batch: pd.DataFrame) -> pd.DataFrame:
-    """Fused-pipeline variant: same rows as a pandas frame, skipping
-    one Arrow round-trip when the caller keeps processing in pandas."""
-    return _emit_triples(batch).frame()
+    """The same rows as a pandas frame, for callers that keep working
+    in pandas."""
+    return build_triples(batch).to_pandas()

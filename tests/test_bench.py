@@ -73,3 +73,29 @@ def test_big_smoke_sizes_the_corpus_to_memory():
     for env, avail in (({}, per / 2), ({"GRAFT_CORPUS_MULT": "10"}, 15.0)):
         mult, why = smoke.corpus_mult(env, avail)
         assert mult is None and "GiB" in why
+
+
+def test_body_cost_prints_ms_per_body():
+    import importlib.util
+    import json
+    import os
+    spec = importlib.util.spec_from_file_location(
+        "body_cost", os.path.join(os.path.dirname(__file__), "..",
+                                  "tools", "body_cost.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tool.main(["--conversations", "8", "12", "--reps", "1"])
+    json.dumps(out)
+    assert out["estimator"] == "min of 1"
+    small, large = out["sizes"]
+    assert (small["conversations"], large["conversations"]) == (8, 12)
+    for size in out["sizes"]:
+        assert list(size["ms"]) == ["finalize", "link", "template",
+                                    "combine", "dedup"]
+        assert all(ms > 0 for ms in size["ms"].values())
+        rows = size["rows_in"]
+        assert rows["link"] == rows["template"] > 0
+        assert rows["combine"] >= rows["dedup"] >= size["triples_out"] > 0
+    assert large["rows_in"]["finalize"] > small["rows_in"]["finalize"]
+    with pytest.raises(SystemExit):
+        tool.main(["--reps", "0"])

@@ -48,12 +48,19 @@ def _calls(frame: pd.DataFrame, body, n_buckets: int,
            per_block: bool) -> pd.DataFrame:
     """``body`` once per bucket (the old ``map_groups`` plan) or once
     per range of sorted buckets (what the sort hands
-    ``bucket_exchange``'s body: 4 blocks, no bucket spans two)."""
+    ``bucket_exchange``'s body: 4 blocks, no bucket spans two).
+    ``dedup_bucket`` takes its blocks as Arrow, the others as pandas."""
     key = frame["bucket"] * 4 // n_buckets if per_block else frame["bucket"]
-    parts = [body(g.sort_values("bucket", kind="stable"))
+    parts = [body(_block(g.sort_values("bucket", kind="stable"), body))
              for _, g in frame.groupby(key, sort=True)]
     return pd.concat([p.to_pandas() if isinstance(p, pa.Table) else p
                       for p in parts], ignore_index=True)
+
+
+def _block(frame: pd.DataFrame, body):
+    if body is not dedup_bucket:
+        return frame
+    return pa.Table.from_pandas(frame, preserve_index=False)
 
 
 class TestPerBlockEqualsPerBucket:
@@ -86,7 +93,8 @@ class TestPerBlockEqualsPerBucket:
     def test_dedup_one_call_over_all_buckets(self, cands):
         triples = _calls(cands, _assemble_bucket, N_CONV_BUCKETS, True)
         by_bucket = _calls(triples, dedup_bucket, N_DEDUP_BUCKETS, False)
-        one_call = dedup_bucket(triples.sort_values("bucket"))
+        one_call = dedup_bucket(_block(triples.sort_values("bucket"),
+                                       dedup_bucket)).to_pandas()
         pd.testing.assert_frame_equal(_canon(one_call),
                                       _canon(by_bucket))
 

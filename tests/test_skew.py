@@ -112,7 +112,7 @@ class TestMegaConversation:
         def _triples(salt_threshold):
             return (_assembled(ds, salt_threshold=salt_threshold)
                     .groupby("bucket")
-                    .map_groups(dedup_bucket, batch_format="pandas")
+                    .map_groups(dedup_bucket, batch_format="pyarrow")
                     .to_pandas())
 
         whole = _triples(None)            # probe disabled
