@@ -30,6 +30,7 @@ import json
 import os
 import shutil
 import sys
+import time
 
 
 def _ensure_ray() -> None:
@@ -111,24 +112,30 @@ def cmd_run(args) -> int:
     if args.fresh:
         shutil.rmtree(args.out, ignore_errors=True)
     inp = _select_conversations(args.input, args)
+    t0 = time.perf_counter()
     summary = run_sharded(inp, args.out, n_shards=args.shards,
                           linker_concurrency=args.linker_concurrency)
-    # shards may share entity triples, which read_output collapses:
-    # this sum can exceed the distinct triples the output reads back as
-    total = sum(m["triples_out"] for m in summary.values())
-    skipped = sum(1 for m in summary.values() if m.get("skipped"))
-    print(json.dumps({"out": args.out, "shards": args.shards,
-                      "skipped_shards": skipped,
-                      "triples_out_per_shard_sum": total}))
+    wall_s = round(time.perf_counter() - t0, 3)
+    # summed over all shards, skipped ones included. Shards may share
+    # entity triples, which read_output collapses: the triples sum can
+    # exceed the distinct triples the output reads back as
+    sums = {k: sum(m[k] for m in summary.values()) for k in (
+        "skipped", "turns_in", "facts_detected", "facts_linked",
+        "triples_out")}
+    sums["skipped_shards"] = sums.pop("skipped")
+    sums["triples_out_per_shard_sum"] = sums.pop("triples_out")
+    print(json.dumps({"out": args.out, "shards": args.shards, **sums,
+                      "wall_s": wall_s}))
     return 0
 
 
 def _read_triples(path: str):
     """A triples parquet path as one Dataset. A sharded ``run`` output
     (``shard=*/_MANIFEST.json``) is read through
-    ``manifest.read_output``, which skips the ``_input`` turns copy
-    and unpublished shards and collapses cross-shard duplicates; a
-    plain parquet read would take all of those as triples."""
+    ``manifest.read_output``, which skips unpublished shards and the
+    staging dir of a crashed run, and collapses cross-shard
+    duplicates; a plain parquet read would count every cross-shard
+    duplicate entity triple."""
     import glob
 
     import ray.data as rd

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import ray.data as rd
 
-from ..stages.dedup import bucket_exchange, dedup_bucket, dedup_triples
+from ..stages.dedup import (add_bucket_and_combine, bucket_exchange,
+                            dedup_bucket)
 from ..stages.extract import (AUTO_SALT_FACTS, detect_facts,
                               finalize_bucket, max_conv_fact_rows,
                               salted_assembly)
@@ -171,10 +172,22 @@ def link_facts(facts: rd.Dataset, concurrency: int | tuple | None = None,
                              num_cpus=1)
 
 
-def _assemble_bucket(group):
+def _template_combine(linked):
+    """Default assembly tail: linked fact rows → template → combiner."""
+    return add_bucket_and_combine(build_triples(linked))
+
+
+def _link_template_combine(batch, tail=_template_combine):
+    """Unkeyed fused tail for the SALTED route: finalized fact rows →
+    link → ``tail``, per batch (no conversation grouping needed — the
+    salted assembly already minted seq ids)."""
+    return tail(_get_linker()(batch))
+
+
+def _assemble_bucket(group, tail=_template_combine):
     """Fused exchange body over one sorted block of conversation-hash
     buckets (whole conversations only, many per call): finalize →
-    link → template → dedup-combiner in ONE call.
+    link → ``tail`` (template → dedup-combiner) in ONE call.
 
     Ray would fuse these operators into one task anyway, but each
     map_batches still pays a block format round-trip per sub-stage;
@@ -183,47 +196,20 @@ def _assemble_bucket(group):
     through the combiner (measured ~2x stage-CPU drop at sf0.1).
     Semantically identical to the unfused chain — pinned by the
     golden/P-R suite, which runs both paths."""
-    from ..stages.dedup import add_bucket_and_combine
-    from ..stages.template import build_triples
-    finalized = finalize_bucket(group)
-    triples = build_triples(_get_linker()(finalized))
-    return add_bucket_and_combine(triples)
+    return _link_template_combine(finalize_bucket(group), tail)
 
 
 def triples_from_turns(turns: rd.Dataset,
                        linker_concurrency: int | tuple | None = None,
                        stats_key: str | None = None) -> rd.Dataset:
-    """Full transform chain turns → deduped triples (lazy).
-
-    Default: the fused assembly path (one body call per sorted
-    block).
-    With ``linker_concurrency`` the unfused chain runs instead, so the
-    linker can be a bounded actor pool (heavy linker state).
-    ``stats_key`` (the input's path) enables the skew-probe statistics
-    cache — see :func:`_assembled`."""
-    if linker_concurrency is not None:
-        # the actor-pool path routes through the SAME skew probe as
-        # the fused path (a giant conversation previously landed in
-        # one unsalted finalize group here and OOM'd the worker)
-        cands, needs = _route_candidates(turns, AUTO_SALT_FACTS,
-                                         stats_key)
-        facts = (salted_assembly(cands) if needs
-                 else bucket_exchange(cands, finalize_bucket))
-        linked = link_facts(facts, concurrency=linker_concurrency)
-        triples = linked.map_batches(build_triples, batch_format="pandas",
-                                     batch_size=None)
-        return dedup_triples(triples)
-    return bucket_exchange(_assembled(turns, stats_key=stats_key),
-                           dedup_bucket, batch_format="pyarrow")
-
-
-def _link_template_combine(batch):
-    """Unkeyed fused tail for the SALTED route: finalized fact rows →
-    link → template → dedup-combiner, per batch (no conversation
-    grouping needed — the salted assembly already minted seq ids)."""
-    from ..stages.dedup import add_bucket_and_combine
-    from ..stages.template import build_triples
-    return add_bucket_and_combine(build_triples(_get_linker()(batch)))
+    """Full transform chain turns → deduped triples (lazy): the
+    assembly plan of :func:`_assembled`, then the dedup exchange.
+    ``stats_key`` (the input's path) enables the skew-probe
+    statistics cache."""
+    return bucket_exchange(
+        _assembled(turns, AUTO_SALT_FACTS, stats_key,
+                   linker_concurrency=linker_concurrency),
+        dedup_bucket, batch_format="pyarrow")
 
 
 def _probe_fingerprint(path: str) -> str | None:
@@ -301,9 +287,15 @@ def _probe_cache_store(stats_key: str | None, needs_salt: bool,
 
 def _assembled(turns: rd.Dataset,
                salt_threshold: int | None = AUTO_SALT_FACTS,
-               stats_key: str | None = None) -> rd.Dataset:
-    """detect → fused assembly; output is combined triple rows keyed
-    by the dedup-hash ``bucket`` (ready for the dedup exchange).
+               stats_key: str | None = None,
+               linker_concurrency: int | tuple | None = None,
+               detect=detect_facts,
+               tail=_template_combine) -> rd.Dataset:
+    """The one assembly plan (fused build, actor-pool linker, seeded
+    graph, sharded runner): detect → skew probe → finalize → link →
+    ``tail`` (default: template → combiner, rows keyed by the dedup
+    ``bucket``). Fused by default (:func:`_assemble_bucket`); with
+    ``linker_concurrency`` the linker is a bounded ACTOR pool.
 
     Skew routing (SURVEY §7.5.7): the candidate dataset is
     materialized (fact rows, 1-5% of corpus bytes) and a bounded
@@ -333,25 +325,33 @@ def _assembled(turns: rd.Dataset,
     measures free (14.49 s vs 14.56 s fused; the ~3 s overlap win
     once attributed to streaming was host noise). Fact rows are 1-5%
     of corpus bytes, so the barrier's storage cost is negligible at
-    any scale."""
-    cands, needs = _route_candidates(turns, salt_threshold, stats_key)
+    any scale. On 1 slot it is free too: 10 alternating fused builds
+    of 100 conversations took a median 0.429 s with it, 0.425 s
+    streamed (quartiles 0.42-0.44 and 0.39-0.45 s)."""
+    cands, needs = _route_candidates(
+        turns.map_batches(detect, batch_format="pyarrow",
+                          batch_size=None),
+        salt_threshold, stats_key)
+    kwargs = {"tail": tail}
+    if linker_concurrency is not None:
+        facts = (salted_assembly(cands) if needs
+                 else bucket_exchange(cands, finalize_bucket))
+        return link_facts(facts, concurrency=linker_concurrency) \
+            .map_batches(tail, batch_format="pandas", batch_size=None)
     if needs:
-        return (salted_assembly(cands)
-                .map_batches(_link_template_combine,
-                             batch_format="pandas",
-                             batch_size=None))
-    return bucket_exchange(cands, _assemble_bucket)
+        return salted_assembly(cands).map_batches(
+            _link_template_combine, batch_format="pandas",
+            batch_size=None, fn_kwargs=kwargs)
+    return bucket_exchange(cands, _assemble_bucket, fn_kwargs=kwargs)
 
 
-def _route_candidates(turns: rd.Dataset,
+def _route_candidates(cands: rd.Dataset,
                       salt_threshold: int | None,
                       stats_key: str | None) -> tuple:
-    """detect → (candidate Dataset, needs_salt verdict) — the skew
-    probe shared by EVERY assembly consumer (fused, actor-pool
-    linker, sharded runner), so no path can silently bypass the
+    """detected candidates → (candidate Dataset, needs_salt verdict)
+    — the skew probe of :func:`_assembled`, which every assembly
+    route builds through, so no path can silently bypass the
     giant-conversation routing the module docstring promises."""
-    cands = turns.map_batches(detect_facts, batch_format="pyarrow",
-                              batch_size=None)
     if salt_threshold is None:
         return cands, False
     cands = cands.materialize()
@@ -384,20 +384,10 @@ def triples_with_seed(turns: rd.Dataset,
     uber graph, ``Utils/utilities.py:552-556`` — rdflib set semantics
     make the merge idempotent; here the shared dedup stage does)."""
     from ..state.fixtures import seed_triples_table
-    from ..stages.dedup import add_bucket_and_combine
 
     seed = rd.from_arrow(seed_triples_table()).map_batches(
         add_bucket_and_combine, batch_format="pyarrow", batch_size=None)
-    if linker_concurrency is not None:
-        facts = extract_facts(turns)
-        linked = link_facts(facts, concurrency=linker_concurrency)
-        triples = linked.map_batches(build_triples, batch_format="pandas",
-                                     batch_size=None)
-        assembled = triples.map_batches(add_bucket_and_combine,
-                                        batch_format="pyarrow",
-                                        batch_size=None)
-    else:
-        assembled = _assembled(turns)
+    assembled = _assembled(turns, linker_concurrency=linker_concurrency)
     return bucket_exchange(assembled.union(seed), dedup_bucket,
                            batch_format="pyarrow")
 

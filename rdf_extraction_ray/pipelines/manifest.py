@@ -2,17 +2,31 @@
 
 The reference has no checkpointing: a crash reruns everything
 (SURVEY §4 "Checkpoint / resume: none"). Here the corpus is split into
-``n_shards`` deterministic conversation-hash shards; each shard runs
-the full pipeline and writes:
+``n_shards`` deterministic conversation-hash shards; each finished
+shard is published as:
 
 - ``<out>/shard=<s>/part-*.parquet``  — the shard's deduped triples
 - ``<out>/shard=<s>/_MANIFEST.json``  — lineage + counters:
-  input fingerprint, turns_in, facts_detected, link-status histogram
-  (the reference's mapping hit/miss counters, §2.6 A3), triples_out
+  input fingerprint, turns_in, facts_detected (candidate facts),
+  facts_linked, link-status histogram (the reference's mapping
+  hit/miss counters, §2.6 A3), triples_out
 
-Writes are atomic (temp dir + rename). A rerun anti-joins existing
-manifests against the input fingerprint and skips finished shards —
-"resume mid-pipeline from per-partition lineage" (north_rule).
+All pending shards run as ONE lazy plan: one read of the input that
+keeps the pending shards' turns (no copy of the corpus), the shared
+assembly plan (:func:`kg._assembled`), a dedup exchange keyed on
+(shard, triple key) and one ``write_parquet`` partitioned by shard
+into a staging dir — two Ray executions per run, whatever the shard
+count. The bodies that see the rows count them per shard into small
+JSON files in the staging dir (counters in band, no extra pass),
+which the driver sums after the write. Each shard is then published
+atomically (manifest + data, one ``os.replace``). A rerun skips the
+shards whose manifest matches the input fingerprint — "resume
+mid-pipeline from per-partition lineage" (north_rule).
+
+Crash unit: a crash during the plan loses all of the invocation's
+pending shards, since none is published before the write ends (the
+flagship ``triples_from_turns`` likewise runs a corpus in one plan);
+shards finished earlier still skip.
 
 Sharding is BY CONVERSATION HASH, so a shard is a self-contained
 sub-corpus: per-conversation logic and per-conversation IDs are
@@ -24,19 +38,28 @@ are a vanishing fraction of rows.)
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
+from collections import Counter, defaultdict
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from .kg import link_facts, read_turns
-from .reports import link_status_histogram
-from ..stages.dedup import bucket_exchange, dedup_triples
-from ..stages.extract import detect_facts, finalize_bucket
+from .kg import _assembled, read_turns
+from ..stages.dedup import (N_DEDUP_BUCKETS, add_bucket_and_combine,
+                            bucket_exchange, dedup_bucket, dedup_triples)
+from ..stages.extract import AUTO_SALT_FACTS, detect_facts
 from ..stages.template import build_triples
 
 MANIFEST_NAME = "_MANIFEST.json"
+# the shard key column inside the plan. Private: readers of the
+# published ``shard=<s>/`` paths add a hive column ``shard``, and a
+# body keyed on that name would keep cross-shard duplicates apart
+SHARD_COL = "_kg_shard"
 
 
 def _fingerprint(turns_path: str) -> str:
@@ -49,7 +72,6 @@ def _fingerprint(turns_path: str) -> str:
     fingerprint; the KG probe cache imports it (a second divergent
     copy is exactly how the non-recursive bug survived)."""
     import glob as _glob
-    import hashlib as _hashlib
     if os.path.isdir(turns_path):
         files = sorted(_glob.glob(os.path.join(turns_path, "**", "*"),
                                   recursive=True))
@@ -60,57 +82,84 @@ def _fingerprint(turns_path: str) -> str:
     for f in files:
         st = os.stat(f)
         parts.append(f"{f}|{st.st_size}|{st.st_mtime_ns}")
-    return _hashlib.md5("\n".join(parts).encode()).hexdigest()
+    return hashlib.md5("\n".join(parts).encode()).hexdigest()
 
 
-def _shard_of(conv_ids: pd.Series, n_shards: int) -> pd.Series:
-    return (pd.util.hash_pandas_object(conv_ids.astype("object"), index=False)
-            % n_shards)
+def _shard_of(conv_ids, n_shards: int) -> np.ndarray:
+    """Shard of each conversation id (an Arrow or a pandas column)."""
+    return (pd.util.hash_array(np.asarray(conv_ids, dtype=object))
+            % n_shards).astype(np.int64)
 
 
-def _prepartition(turns_path: str, out_dir: str, n_shards: int,
-                  fp: str) -> str:
-    """ONE pass over the input writing it hash-partitioned by shard
-    (``_input/shard=k/``), so each shard's pipeline reads only its own
-    files instead of scanning the whole corpus and discarding
-    (n_shards-1)/n_shards of it — read amplification drops from
-    O(n_shards) to O(1). Idempotent via a fingerprint marker; the
-    partition survives crashes, so resume skips this step too."""
-    import ray.data as rd
-    part_dir = os.path.join(out_dir, "_input")
-    marker = os.path.join(part_dir, "_PARTITIONED.json")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            meta = json.load(f)
-        if meta.get("fingerprint") == fp and meta.get("n") == n_shards:
-            return part_dir
-        shutil.rmtree(part_dir)
-    # unique tmp per process: two concurrent runs must not delete each
-    # other's in-progress files or interleave writes into one tmp dir
-    tmp = f"{part_dir}.tmp.{os.getpid()}"
-    shutil.rmtree(tmp, ignore_errors=True)
+def _write_counts(counts_dir: str, stage: str, block, shards,
+                  counters) -> None:
+    """One body call's counts per (shard, counter) pair of the parallel
+    ``shards``/``counters`` as a JSON file named by a digest of
+    ``block``'s first and last provenance and row count, so a retried
+    task rewrites its own file (renamed into place: never half-read)."""
+    counts = pd.DataFrame({"s": shards, "k": counters}).value_counts()
+    if not len(counts):
+        return
+    ends = [list(block[c].take([0, len(block) - 1]))  # Arrow or pandas
+            for c in ("conv_id", "turn_idx")]
+    name = hashlib.md5(f"{stage}|{ends}|{len(block)}".encode()).hexdigest()
+    path = os.path.join(counts_dir, f"{stage}-{name}.json")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as f:
+        json.dump([[int(s), k, int(n)] for (s, k), n in counts.items()], f)
+    os.replace(tmp, path)
 
-    def _tag(df: pd.DataFrame) -> pd.DataFrame:
-        b = df.copy()
-        b["shard"] = _shard_of(b["conv_id"], n_shards).astype("int64")
-        return b
 
-    (rd.read_parquet(turns_path)
-     .map_batches(_tag, batch_format="pandas", batch_size=None)
-     .write_parquet(tmp, partition_cols=["shard"]))
-    os.makedirs(tmp, exist_ok=True)  # an EMPTY corpus writes no
-    # files and creates no dir — the marker below must still publish
-    with open(os.path.join(tmp, "_PARTITIONED.json"), "w") as f:
-        json.dump({"fingerprint": fp, "n": n_shards}, f)
-    shutil.rmtree(part_dir, ignore_errors=True)
-    try:
-        os.rename(tmp, part_dir)
-    except OSError:
-        # a concurrent run published first — use theirs, drop ours
-        if not os.path.exists(part_dir):
-            raise
-        shutil.rmtree(tmp, ignore_errors=True)
-    return part_dir
+def _prepartition(turns_path: str, counts_dir: str, n_shards: int,
+                  pending: list[int]):
+    """The input's turns of the ``pending`` shards (lazy): one read,
+    filtered per block, counting ``turns_in`` per shard in band."""
+
+    def _keep_pending(turns: pa.Table) -> pa.Table:
+        shard = _shard_of(turns["conv_id"], n_shards)
+        mask = np.isin(shard, pending)
+        _write_counts(counts_dir, "turns", turns, shard[mask], "turns_in")
+        return turns.filter(pa.array(mask))
+
+    return read_turns(turns_path).map_batches(
+        _keep_pending, batch_format="pyarrow", batch_size=None)
+
+
+def _sharded_triples(turns, counts_dir: str, n_shards: int,
+                     linker_concurrency):
+    """Kept turns → triples deduped per (shard, triple key), counted."""
+
+    def _detect(turns: pa.Table) -> pa.Table:
+        cands = detect_facts(turns)
+        _write_counts(counts_dir, "cands", turns,
+                      _shard_of(cands["conv_id"], n_shards), "facts_detected")
+        return cands
+
+    def _count_template_combine(linked: pd.DataFrame) -> pa.Table:
+        shard = _shard_of(linked["conv_id"], n_shards)
+        st = pd.DataFrame({"s": shard, "k": linked["link_status"]
+                           .str.split(";").to_numpy()}).explode("k")
+        st = st[st["k"].notna() & (st["k"] != "")]
+        _write_counts(counts_dir, "linked", linked,
+                      np.concatenate([shard, st["s"]]),
+                      ["facts_linked"] * len(shard)
+                      + list("status:" + st["k"]))
+        triples = build_triples(linked)
+        triples = triples.append_column(
+            SHARD_COL, pa.array(_shard_of(triples["conv_id"], n_shards)))
+        t = add_bucket_and_combine(triples, by=(SHARD_COL,))
+        # shard-major bucket: a sorted block spans few shards, so the
+        # partitioned write makes ~one file per block, not per shard
+        return t.set_column(t.column_names.index("bucket"), "bucket",
+                            pc.add(pc.multiply(t[SHARD_COL],
+                                               N_DEDUP_BUCKETS), t["bucket"]))
+
+    return bucket_exchange(
+        _assembled(turns, AUTO_SALT_FACTS,
+                   linker_concurrency=linker_concurrency,
+                   detect=_detect, tail=_count_template_combine),
+        dedup_bucket, batch_format="pyarrow",
+        fn_kwargs={"by": (SHARD_COL,)})
 
 
 _STALE_TMP_AGE_S = 3600  # crashed-run debris; live runs touch within this
@@ -119,8 +168,8 @@ _STALE_TMP_AGE_S = 3600  # crashed-run debris; live runs touch within this
 def _sweep_stale_tmp(out_dir: str) -> None:
     """Remove ``*.tmp.<pid>`` dirs whose mtime is over an hour old —
     debris from crashed runs (per-pid names protect CONCURRENT runs
-    from each other, but a killed run's tmp would otherwise leak a
-    full shard of parquet forever; the age guard keeps a live
+    from each other, but a killed run's tmp would otherwise leak its
+    staged parquet forever; the age guard keeps a live
     concurrent run's in-progress tmp safe)."""
     import time
     try:
@@ -149,136 +198,81 @@ def _sweep_stale_tmp(out_dir: str) -> None:
 
 def run_sharded(turns_path: str, out_dir: str, n_shards: int = 8,
                 linker_concurrency: int | tuple | None = None,
-                shards: list[int] | None = None,
-                prepartition: bool = True) -> dict:
-    """Run the KG pipeline shard by shard, skipping finished shards.
-
-    Returns a summary dict {shard: manifest}. ``shards`` restricts the
-    run (used by tests to simulate a mid-run failure). With
-    ``prepartition`` (default) and more than one shard pending, the
-    input is first written hash-partitioned under ``out_dir/_input``
-    in one pass, so each shard reads only its own partition; a lone
-    pending shard filters the input instead.
-    """
+                shards: list[int] | None = None) -> dict:
+    """Run the KG pipeline over every pending shard in one plan,
+    skipping finished shards; returns {shard: manifest}. ``shards``
+    restricts the run (used by tests to simulate a mid-run failure)."""
     fp = _fingerprint(turns_path)
     os.makedirs(out_dir, exist_ok=True)
     _sweep_stale_tmp(out_dir)
     summary: dict[int, dict] = {}
     todo = list(range(n_shards) if shards is None else shards)
-
-    def _finished(s: int):
+    for s in todo:
         mpath = os.path.join(out_dir, f"shard={s}", MANIFEST_NAME)
         if os.path.exists(mpath):
             with open(mpath) as f:
                 m = json.load(f)
+            # a shard finished under a DIFFERENT n_shards holds a
+            # different partition of the corpus — skipping it would
+            # mix layouts and double-extract conversations
             if m.get("input_fingerprint") == fp \
                     and m.get("n_shards") == n_shards:
-                # a shard finished under a DIFFERENT n_shards holds a
-                # different partition of the corpus — skipping it
-                # would mix layouts and double-extract conversations
-                return m
-        return None
-
-    pending = [s for s in todo if _finished(s) is None]
-    # prepartition ONLY when several shards share it: a lone pending
-    # shard (e.g. a resume after one lost shard, once a full run has
-    # deleted _input) filters the input, where re-partitioning would
-    # rewrite the whole corpus to serve that one shard
-    part_dir = (_prepartition(turns_path, out_dir, n_shards, fp)
-                if prepartition and len(pending) > 1 else None)
-    for s in todo:
-        m = _finished(s)
-        if m is not None:
-            m["skipped"] = True
-            summary[s] = m
-            continue
-        final = os.path.join(out_dir, f"shard={s}")
-        if os.path.exists(final):
-            shutil.rmtree(final)  # stale output for a different input
-        summary[s] = _run_one_shard(turns_path, out_dir, s, n_shards, fp,
-                                    linker_concurrency, part_dir)
-    # all shards final → the _input copy (a full corpus duplicate) has
-    # served its purpose; reclaim the space
-    if shards is None and all(
-            _finished(s) is not None for s in range(n_shards)):
-        shutil.rmtree(os.path.join(out_dir, "_input"), ignore_errors=True)
-    return summary
+                summary[s] = {**m, "skipped": True}
+    pending = [s for s in todo if s not in summary]
+    if not pending:
+        return summary
+    for s in pending:  # stale output for a different input
+        shutil.rmtree(os.path.join(out_dir, f"shard={s}"),
+                      ignore_errors=True)
+    # unique per process: two concurrent runs must not delete each
+    # other's in-progress files or interleave writes into one dir
+    staging = os.path.join(out_dir, f"_run.tmp.{os.getpid()}")
+    shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)  # the count files land here, the data below
+    data_dir = os.path.join(staging, "data")
+    _sharded_triples(_prepartition(turns_path, staging, n_shards, pending),
+                     staging, n_shards, linker_concurrency
+                     ).write_parquet(data_dir, partition_cols=[SHARD_COL])
+    counts: dict[int, Counter] = defaultdict(Counter)
+    for name in os.listdir(staging):
+        if name.endswith(".json"):
+            with open(os.path.join(staging, name)) as f:
+                for s, counter, n in json.load(f):
+                    counts[s][counter] += n
+    for s in pending:
+        summary[s] = _run_one_shard(data_dir, out_dir, s, n_shards, fp,
+                                    counts[s])
+    shutil.rmtree(staging, ignore_errors=True)
+    return {s: summary[s] for s in todo}
 
 
-def _run_one_shard(turns_path: str, out_dir: str, s: int, n_shards: int,
-                   fp: str, linker_concurrency,
-                   part_dir: str | None = None) -> dict:
-    tmp = os.path.join(out_dir, f"shard={s}.tmp.{os.getpid()}")
-    final = os.path.join(out_dir, f"shard={s}")
-    shutil.rmtree(tmp, ignore_errors=True)
-
-    if part_dir is not None:
-        shard_dir = os.path.join(part_dir, f"shard={s}")
-        if not os.path.isdir(shard_dir):
-            # hive-partitioned writes create no dir for an empty shard
-            import ray.data as rd
-            from ..synth import TURNS_SCHEMA
-            shard_turns = rd.from_arrow(TURNS_SCHEMA.empty_table())
-        else:
-            shard_turns = read_turns(shard_dir)
-    else:
-        turns = read_turns(turns_path)
-
-        def _filter_shard(df: pd.DataFrame) -> pd.DataFrame:
-            return df[_shard_of(df["conv_id"], n_shards) == s]
-
-        shard_turns = turns.map_batches(_filter_shard,
-                                        batch_format="pandas")
-    # route through the shared skew probe — a giant conversation in
-    # a shard previously landed in one unsalted finalize group
-    from ..stages.extract import AUTO_SALT_FACTS, salted_assembly
-    from .kg import _route_candidates
-    cands, needs_salt = _route_candidates(shard_turns,
-                                          AUTO_SALT_FACTS, None)
-    facts = (salted_assembly(cands) if needs_salt
-             else bucket_exchange(cands, finalize_bucket))
-    linked = link_facts(facts, concurrency=linker_concurrency)
-
-    # side-channel counters (§2.6 A3): per-batch partials → tiny sum.
-    # computed on the same pass-shaped data; facts are small relative
-    # to turns, so one extra consumption of the linked facts is cheap —
-    # materialize ONLY this small intermediate, never the turns.
-    linked = linked.materialize()
-    # counted AFTER finalize+link (conversation rules consume some
-    # detection rows, e.g. subject declarations) — named accordingly
-    facts_linked = linked.count()
-    turns_in = shard_turns.count()  # parquet metadata count — cheap
-
-    counts = link_status_histogram(linked)
-    histogram = {status: int(n)
-                 for status, n in zip(counts["status"], counts["n"])}
-
-    triples = dedup_triples(
-        linked.map_batches(build_triples, batch_format="pandas",
-                           batch_size=None))
-    triples.write_parquet(tmp)
-    os.makedirs(tmp, exist_ok=True)  # an EMPTY shard writes no files
-    # and creates no dir — the manifest below is still published
+def _run_one_shard(data_dir: str, out_dir: str, s: int, n_shards: int,
+                   fp: str, counts: Counter) -> dict:
+    """Publish shard ``s`` of the staged write with its manifest (the
+    in-band ``counts`` + ``triples_out`` from parquet metadata) in one
+    rename, so manifest and data appear together; return the manifest."""
     import pyarrow.parquet as pq
-    triples_out = sum(pq.read_metadata(os.path.join(tmp, f)).num_rows
-                      for f in os.listdir(tmp) if f.endswith(".parquet"))
-
+    staged = os.path.join(data_dir, f"{SHARD_COL}={s}")
+    os.makedirs(staged, exist_ok=True)  # a shard of no triples has none
+    triples_out = sum(pq.read_metadata(os.path.join(staged, f)).num_rows
+                      for f in os.listdir(staged) if f.endswith(".parquet"))
     manifest = {
         "shard": s,
         "n_shards": n_shards,
         "input_fingerprint": fp,
-        "turns_in": int(turns_in),
-        "facts_linked": int(facts_linked),
-        # legacy alias for pre-round-4 manifest readers
-        "facts_detected": int(facts_linked),
-        "link_status_histogram": histogram,
+        "turns_in": counts["turns_in"],
+        "facts_detected": counts["facts_detected"],
+        "facts_linked": counts["facts_linked"],
+        "link_status_histogram": {k[len("status:"):]: n for k, n in
+                                  counts.items() if k.startswith("status:")},
         "triples_out": int(triples_out),
         "skipped": False,
     }
-    with open(os.path.join(tmp, MANIFEST_NAME), "w") as f:
+    with open(os.path.join(staged, MANIFEST_NAME), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
+    final = os.path.join(out_dir, f"shard={s}")
     shutil.rmtree(final, ignore_errors=True)
-    os.replace(tmp, final)  # atomic publish: manifest+data appear together
+    os.replace(staged, final)
     return manifest
 
 

@@ -49,20 +49,20 @@ def _encode(column) -> tuple[np.ndarray, pa.Array]:
     return enc.indices.to_numpy(zero_copy_only=False), enc.dictionary
 
 
-def first_per_key(table: pa.Table) -> pa.Table:
-    """The first row per ``TRIPLE_KEY`` under a stable sort on
-    ``(conv_id, turn_idx)``: the minimum-provenance winner of each
-    triple, in provenance order. Null key values compare equal, as in
-    ``drop_duplicates``.
+def first_per_key(table: pa.Table, key: list = TRIPLE_KEY) -> pa.Table:
+    """The first row per ``key`` (default ``TRIPLE_KEY``) under a
+    stable sort on ``(conv_id, turn_idx)``: the minimum-provenance
+    winner of each triple, in provenance order. Null key values compare
+    equal, as in ``drop_duplicates``.
 
-    The six key columns fold into one exact int64 id per row (mixed
+    The key columns fold into one exact int64 id per row (mixed
     radix over each column's dictionary codes, re-densified before it
     could overflow), so finding the first row per key is one integer
     ``np.unique`` over the provenance order. At 67k rows an Arrow
     ``group_by`` on the six string columns measured 22-30 ms, the id
     about 10 ms."""
     ids, card = np.zeros(table.num_rows, np.int64), 1
-    for c in TRIPLE_KEY:
+    for c in key:
         codes, values = _encode(table.column(c))
         if card * len(values) >= _MAX_KEY_ID:
             ids, uniques = pd.factorize(ids)
@@ -84,9 +84,10 @@ def _value_hash(column) -> np.ndarray:
         categorize=False)[codes]
 
 
-def add_bucket_and_combine(table: pa.Table) -> pa.Table:
+def add_bucket_and_combine(table: pa.Table, by: tuple = ()) -> pa.Table:
     """map_batches combiner (``batch_format="pyarrow"``): local dedup
-    + deterministic hash bucket.
+    per (``by`` columns, e.g. a shard, + triple key) + deterministic
+    hash bucket.
 
     Takes and returns Arrow: the combiner's output is exactly what the
     dedup exchange ships, and Arrow string blocks are ~3x smaller than
@@ -94,7 +95,10 @@ def add_bucket_and_combine(table: pa.Table) -> pa.Table:
     shuffle 7.7s → 5.5s at 32 CPUs)."""
     # explicit schema: an all-null column (e.g. obj_lang in one block)
     # must stay string, never pa.null, or the block schemas wobble
-    t = first_per_key(table.select(TRIPLE_COLUMNS).cast(TRIPLE_SCHEMA))
+    schema = pa.schema([table.schema.field(c) for c in by]
+                       + list(TRIPLE_SCHEMA))
+    t = first_per_key(table.select([*by, *TRIPLE_COLUMNS]).cast(schema),
+                      [*by, *TRIPLE_KEY])
     # bucket on a SUBSET of the key: rows equal on the full 6-column
     # key are equal on (subj, obj), so all duplicates still co-locate
     # — and hashing 2 string columns instead of 6 was the hottest
@@ -107,10 +111,11 @@ def add_bucket_and_combine(table: pa.Table) -> pa.Table:
 
 
 def bucket_exchange(ds, body, key: str = "bucket",
-                    batch_format: str = "pandas"):
+                    batch_format: str = "pandas",
+                    fn_kwargs: dict | None = None):
     """The engine's one keyed exchange: ``body`` runs once per block
     of ``ds`` sorted on ``key``, in ``batch_format`` (``"pandas"`` or
-    ``"pyarrow"``).
+    ``"pyarrow"``), with ``fn_kwargs`` as its keyword arguments.
 
     This is ``groupby(key).map_groups(body)`` without the per-group
     loop: under the sort shuffle, Ray's ``map_groups`` is itself a
@@ -127,15 +132,16 @@ def bucket_exchange(ds, body, key: str = "bucket",
     never reach ``body``: Ray passes a zero-row block through a map
     without calling its function."""
     return ds.sort(key).map_batches(body, batch_format=batch_format,
-                                    batch_size=None)
+                                    batch_size=None, fn_kwargs=fn_kwargs)
 
 
-def dedup_bucket(group: pa.Table) -> pa.Table:
+def dedup_bucket(group: pa.Table, by: tuple = ()) -> pa.Table:
     """Exchange body over one sorted block of hash buckets
     (``batch_format="pyarrow"``): collision-safe exact dedup on the
-    full triple key, deterministic winner = smallest
+    ``by`` columns + full triple key, deterministic winner = smallest
     (conv_id, turn_idx)."""
-    return first_per_key(group.drop_columns(["bucket"]))
+    return first_per_key(group.drop_columns(["bucket"]),
+                         [*by, *TRIPLE_KEY])
 
 
 def dedup_triples(ds):

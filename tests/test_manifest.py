@@ -84,17 +84,15 @@ class TestResume:
         summary2 = run_sharded(one, out, n_shards=8)
         assert all(m["skipped"] for m in summary2.values())
 
-    def test_one_lost_shard_resumes_without_repartition(self, tmp_path,
-                                                        monkeypatch):
-        """After a full run (which deletes the ``_input`` copy), losing
-        one shard reruns it from the filtered input: no
-        ``_prepartition`` call, the same turn count and the same rows
-        as the fresh shard."""
+    def test_one_lost_shard_resumes_without_repartition(self, tmp_path):
+        """Losing one shard after a full run reruns it from the
+        filtered input: no ``_input`` copy of the corpus is written,
+        the finished shards' files are untouched, and the rerun shard
+        has the same turn count and the same rows as the fresh one."""
         import shutil
 
         import pandas as pd
 
-        from rdf_extraction_ray.pipelines import manifest as M
         turns_dir = synth.write_turns(str(tmp_path / "turns"), 60, seed=9)
         out = str(tmp_path / "out")
         fresh = run_sharded(turns_dir, out, n_shards=3)
@@ -102,13 +100,11 @@ class TestResume:
         lost = os.path.join(out, "shard=1")
         before = pd.read_parquet(lost)
         shutil.rmtree(lost)
+        kept = _file_stats(out, [0, 2])
 
-        calls = []
-        real = M._prepartition
-        monkeypatch.setattr(M, "_prepartition",
-                            lambda *a: calls.append(a) or real(*a))
         resumed = run_sharded(turns_dir, out, n_shards=3)
-        assert calls == []
+        assert not os.path.exists(os.path.join(out, "_input"))
+        assert _file_stats(out, [0, 2]) == kept
         assert [s for s, m in resumed.items() if not m["skipped"]] == [1]
         for k in ("turns_in", "facts_linked", "triples_out",
                   "link_status_histogram"):
@@ -120,6 +116,147 @@ class TestResume:
             return df.fillna("").sort_values(list(df.columns),
                                              ignore_index=True)
         pd.testing.assert_frame_equal(rows(after), rows(before))
+
+    def test_facts_detected_counts_candidates(self, tmp_path):
+        """``facts_detected`` is the shard's candidate-fact count (the
+        mentions): at least ``facts_linked``, and summed over shards
+        equal to ``detect_facts``' rows for the corpus."""
+        import pyarrow.parquet as pq
+
+        from rdf_extraction_ray.stages.extract import detect_facts
+        turns_dir = synth.write_turns(str(tmp_path / "turns"), 60, seed=9)
+        summary = run_sharded(turns_dir, str(tmp_path / "out"), n_shards=3)
+        for m in summary.values():
+            assert m["facts_detected"] >= m["facts_linked"] > 0
+        assert sum(m["facts_detected"] for m in summary.values()) == \
+            detect_facts(pq.read_table(turns_dir)).num_rows
+
+
+class TestOnePlan:
+    """Every pending shard runs in one plan, whatever the route."""
+
+    def test_ray_executions_per_run(self, tmp_path, monkeypatch):
+        """A fresh 3-shard run makes 2 Ray Data executions (the
+        candidate materialize and the write), and so does a one-shard
+        resume; one plan per shard made 13 and 5."""
+        import shutil
+
+        from ray.data._internal.execution.streaming_executor import \
+            StreamingExecutor
+        runs = []
+        execute = StreamingExecutor.execute
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return execute(self, *args, **kwargs)
+
+        turns_dir = synth.write_turns(str(tmp_path / "turns"), 60, seed=9)
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        run_sharded(turns_dir, out, n_shards=3)
+        fresh = len(runs)
+        shutil.rmtree(os.path.join(out, "shard=1"))
+        run_sharded(turns_dir, out, n_shards=3)
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        assert (fresh, len(runs) - fresh) == (2, 2)
+
+    def test_salted_and_actor_pool_routes_match_default(self, tmp_path,
+                                                        monkeypatch):
+        """The actor-pool linker and the salted route (forced by a low
+        threshold) give the default run's per-shard rows and
+        manifests."""
+        from rdf_extraction_ray.pipelines import kg as KG
+        from rdf_extraction_ray.pipelines import manifest as M
+        turns_dir = synth.write_turns(str(tmp_path / "turns"), 40, seed=4)
+        run_sharded(turns_dir, str(tmp_path / "default"), n_shards=3)
+        want = _shards(str(tmp_path / "default"), 3)
+        run_sharded(turns_dir, str(tmp_path / "actor"), n_shards=3,
+                    linker_concurrency=1)
+        _assert_same_shards(_shards(str(tmp_path / "actor"), 3), want)
+        routed = []
+        route = KG._route_candidates
+
+        def spy(*args, **kwargs):
+            cands, needs = route(*args, **kwargs)
+            routed.append(needs)
+            return cands, needs
+
+        monkeypatch.setattr(M, "AUTO_SALT_FACTS", 1)
+        monkeypatch.setattr(KG, "_route_candidates", spy)
+        run_sharded(turns_dir, str(tmp_path / "salted"), n_shards=3)
+        assert routed == [True]
+        _assert_same_shards(_shards(str(tmp_path / "salted"), 3), want)
+
+    def test_crash_while_publishing_then_resume(self, tmp_path,
+                                                monkeypatch):
+        """Publishing fails after shard 0: shard 0 stays published,
+        the leftover staging dir is read neither by ``read_output``
+        nor by the CLI, and a rerun equals a clean run."""
+        import glob
+
+        import pytest
+
+        from rdf_extraction_ray.__main__ import _read_triples
+        from rdf_extraction_ray.pipelines import manifest as M
+        turns_dir = synth.write_turns(str(tmp_path / "turns"), 40, seed=4)
+        clean = str(tmp_path / "clean")
+        run_sharded(turns_dir, clean, n_shards=3)
+        out = str(tmp_path / "out")
+        publish = M._run_one_shard
+
+        def crash_after_0(data_dir, out_dir, s, *args):
+            if s > 0:
+                raise RuntimeError("publish failed")
+            return publish(data_dir, out_dir, s, *args)
+
+        monkeypatch.setattr(M, "_run_one_shard", crash_after_0)
+        with pytest.raises(RuntimeError, match="publish failed"):
+            run_sharded(turns_dir, out, n_shards=3)
+        monkeypatch.setattr(M, "_run_one_shard", publish)
+        assert glob.glob(os.path.join(out, "_run.tmp.*", "**", "*.parquet"),
+                         recursive=True)
+        assert sorted(d for d in os.listdir(out)
+                      if d.startswith("shard=")) == ["shard=0"]
+        shard0 = _shards(clean, 3)[0][0]
+        assert read_output(out).count() == len(shard0)
+        assert _read_triples(out).count() == len(shard0)
+
+        summary = run_sharded(turns_dir, out, n_shards=3)
+        assert [s for s, m in summary.items() if not m["skipped"]] == [1, 2]
+        assert not glob.glob(os.path.join(out, "_run.tmp.*"))
+        _assert_same_shards(_shards(out, 3), _shards(clean, 3))
+        assert _triple_set(out) == _triple_set(clean)
+
+
+def _file_stats(out_dir, shards):
+    """{path: mtime} of the files of ``shards`` under ``out_dir``."""
+    return {p: os.stat(p).st_mtime_ns for s in shards
+            for d in [os.path.join(out_dir, f"shard={s}")]
+            for p in (os.path.join(d, f) for f in os.listdir(d))}
+
+
+def _shards(out_dir, n_shards):
+    """Per shard: its rows (sorted) and its manifest, minus the
+    fields that say how the run went rather than what it made."""
+    import pandas as pd
+    got = {}
+    for s in range(n_shards):
+        d = os.path.join(out_dir, f"shard={s}")
+        with open(os.path.join(d, MANIFEST_NAME)) as f:
+            m = json.load(f)
+        m.pop("skipped")
+        df = pd.read_parquet(d)
+        got[s] = (df.fillna("").sort_values(list(df.columns),
+                                            ignore_index=True), m)
+    return got
+
+
+def _assert_same_shards(got, want):
+    import pandas as pd
+    assert got.keys() == want.keys()
+    for s in want:
+        pd.testing.assert_frame_equal(got[s][0], want[s][0])
+        assert got[s][1] == want[s][1], s
 
 
 def _cli(argv: list[str]) -> dict:
@@ -157,6 +294,9 @@ def test_cli_sparql_reads_sharded_run_as_one_graph(tmp_path):
     n_single = kg_pipeline(turns_dir, out_dir=single).count()
     # shards share entity triples, so the per-shard sum overcounts
     assert summary["triples_out_per_shard_sum"] > n_single
+    assert summary["turns_in"] == pd.read_parquet(turns_dir).shape[0]
+    assert summary["facts_detected"] >= summary["facts_linked"] > 0
+    assert summary["wall_s"] > 0
     query = ("SELECT ?o (COUNT(*) AS ?n) WHERE { ?s "
              "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?o } "
              "GROUP BY ?o")
