@@ -4698,15 +4698,14 @@ _BGP_PATTERNS = [
 
 def _q_kg_bgp_match(sf_dir: str):
     """SPARQL-core star BGP over the constructed KG: every binding of
-    ?person hasBirthPlace ?bp . ?person hasDeathPlace ?dp .
-    ?person hasCauseOfDeath ?cod — the natural join of three
-    per-predicate relations on the shared subject. One scan + ONE
-    subject-bucket exchange resolves the whole star (the SQL oracle
-    pays two self-joins); bindings cross-product inside the bucket
-    bodies."""
-    from rdf_extraction_ray.stages.graph import star_bgp_match
+    ?subj hasBirthPlace ?birth_place . ?subj hasDeathPlace
+    ?death_place . ?subj hasCauseOfDeath ?cause_of_death — the
+    natural join of three per-predicate relations on the shared
+    subject, planned by ``bgp_match`` off one shared scan (the
+    per-predicate relations are small, so both joins broadcast)."""
+    from rdf_extraction_ray.stages.graph import bgp_match
     tr = _triples_view(sf_dir)
-    return star_bgp_match(tr, _BGP_PATTERNS)
+    return bgp_match(tr, [("?subj", p, f"?{v}") for v, p in _BGP_PATTERNS])
 
 
 _P100 = "http://www.cidoc-crm.org/cidoc-crm/P100_was_death_of"
@@ -5200,8 +5199,8 @@ def _q_kg_bgp_minus(sf_dir: str):
     } — UNDATED death events (~7.5% of death events at sf0.01; the
     shared variable ?ev is required-bound on both sides, the regime
     where MINUS = FILTER NOT EXISTS = SQL NOT-EXISTS anti-join). One
-    partitioned hash ANTI exchange over the binding stream against
-    the DISTINCT negation keys."""
+    anti solution join of the binding stream against the DISTINCT
+    negation keys, which are few enough to broadcast."""
     from rdf_extraction_ray.stages.graph import bgp_minus
     tr = _triples_view(sf_dir)
     return bgp_minus(
@@ -5274,9 +5273,9 @@ def _q_kg_bgp_exists(sf_dir: str):
     with >= 1 paid occupation. SEMI-join multiplicity is the
     discriminating semantics: persons average ~8 occupations at
     sf0.01, so a plain join would fan each event out 8x, while EXISTS
-    keeps each surviving event exactly once. One partitioned hash
-    exchange of the binding stream against the DISTINCT witness keys
-    (combiner-first)."""
+    keeps each surviving event exactly once. One inner solution join
+    of the binding stream against the DISTINCT witness keys
+    (combiner-first), which are few enough to broadcast."""
     from rdf_extraction_ray.stages.graph import bgp_exists
     tr = _triples_view(sf_dir)
     occ = "http://kg.example.org/ontology#hasPaidOccupation"

@@ -40,6 +40,7 @@ import hashlib
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data as rd
 
 from .dedup import bucket_exchange
@@ -1858,77 +1859,6 @@ def copredicate_pairs(triples: rd.Dataset, min_shared: int = 2,
     return res.sort_values(["subj_a", "subj_b"], ignore_index=True)
 
 
-def star_bgp_match(triples: rd.Dataset,
-                   patterns: list[tuple[str, str]],
-                   n_buckets: int = 64) -> rd.Dataset:
-    """SPARQL-style star basic-graph-pattern match: all variable
-    bindings of ``?s <pred_i> ?var_i`` for every pattern — the
-    natural join of the per-predicate (subj, obj) relations on the
-    shared subject variable, i.e. the core of a SPARQL SELECT over a
-    star BGP. ``patterns`` is [(var_name, predicate_uri), ...];
-    returns a lazy Dataset with columns (subj, *var_names), one row
-    per binding (triples carry set semantics, so bindings are
-    distinct by construction).
-
-    The reference answers such queries by loading the WHOLE corpus
-    graph into one in-RAM rdflib store and matching patterns against
-    it (the uber-graph at cwrc/RDF-extraction
-    Utils/utilities.py:552-556 is the queried artifact). Here the
-    star resolves in one scan + ONE subject-bucket exchange
-    REGARDLESS of the pattern count k — a per-pattern SQL translation
-    pays k-1 binary-join exchanges — and only rows matching some
-    pattern predicate enter the exchange, so the shuffled bytes are
-    output-input-sized, not corpus-sized. Inside each bucket the
-    k-way binding cross product is emitted vectorized (a pandas merge
-    chain per subject group); per-group memory is bounded by the
-    bucket's binding count, which skew-guards exactly like the other
-    bucket bodies (hash(subj) spreads subjects uniformly; one
-    subject's bindings — Π|obj_i| — are the irreducible output).
-    """
-    preds = [p for _, p in patterns]
-    vars_ = [v for v, _ in patterns]
-    if len(set(vars_)) != len(vars_) or len(set(preds)) != len(preds):
-        raise ValueError("duplicate variable or predicate in patterns")
-    B = np.int64(n_buckets)
-    pred_to_pi = {p: i for i, p in enumerate(preds)}
-
-    def _scan(df: pd.DataFrame) -> pd.DataFrame:
-        pi = df["pred"].map(pred_to_pi)
-        keep = pi.notna().to_numpy()
-        out = pd.DataFrame({
-            "subj": df["subj"][keep].astype(str),
-            "pi": pi[keep].astype("int64"),
-            "obj": df["obj"][keep].astype(str)})
-        out["bucket"] = pd.util.hash_pandas_object(
-            out["subj"], index=False).astype("int64") % B
-        return out
-
-    import pyarrow as pa
-    empty_cols = ["subj"] + vars_
-    schema = pa.schema([(c, pa.string()) for c in empty_cols])
-
-    def _resolve(t: pa.Table) -> pa.Table:
-        g = t.to_pandas()
-        res = None
-        for i, v in enumerate(vars_):
-            part = g[g["pi"] == i][["subj", "obj"]] \
-                .rename(columns={"obj": v})
-            res = part if res is None else res.merge(part, on="subj")
-            if res.empty:
-                return schema.empty_table()
-        return pa.Table.from_pandas(
-            res[empty_cols], schema=schema,
-            preserve_index=False).replace_schema_metadata(None)
-
-    out = (triples.map_batches(_scan, batch_format="pandas",
-                               batch_size=None)
-           .groupby("bucket")
-           .map_groups(_resolve, batch_format="pyarrow"))
-    # typed empty seed: a star with zero matching rows anywhere must
-    # still carry the binding schema out of the (never-run) group body
-    return rd.from_arrow(schema.empty_table()).union(out)
-
-
 def _is_var(term: str) -> bool:
     return isinstance(term, str) and term.startswith("?")
 
@@ -2040,6 +1970,47 @@ def _eval_bind(df: pd.DataFrame, expr) -> pd.Series:
     raise ValueError(f"unknown BIND op {op!r}")
 
 
+#: the right-side row count at or under which a SPARQL solution join
+#: broadcasts instead of exchanging (1M rows ≈ 120 MB of URI strings,
+#: one object-store copy per node)
+_BROADCAST_ROWS = 1_000_000
+
+
+def _str_schema(names) -> pa.Schema:
+    return pa.schema([(v, pa.string()) for v in names])
+
+
+def _solution_join(left: rd.Dataset, right: rd.Dataset, on: list[str],
+                   how: str, right_rows: int, broadcast_rows: int,
+                   n_buckets: int, left_schema: pa.Schema,
+                   right_schema: pa.Schema) -> rd.Dataset:
+    """Every SPARQL solution join (a BGP step, OPTIONAL, a subquery,
+    MINUS, FILTER EXISTS): the one kernel of
+    :mod:`~rdf_extraction_ray.stages.joins`, which never matches a
+    NULL key. ``right_rows`` (the caller's known right row count) at
+    or under ``broadcast_rows`` collects the right side once and
+    broadcasts it into every left batch; above it the two sides meet
+    in the partitioned hash-join exchange."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    from .joins import _broadcast, hash_join
+
+    if right_rows > broadcast_rows:
+        return hash_join(left, right, on=on, how=how, n_buckets=n_buckets,
+                         left_schema=left_schema,
+                         right_schema=right_schema)
+    # blocks may be pandas, and zero-row ones may have lost the
+    # schema; the rest are cast to it
+    tabs = [BlockAccessor.for_block(ray.get(ref)).to_arrow()
+            for bundle in right.iter_internal_ref_bundles()
+            for ref, _ in bundle.blocks]
+    tabs = [t.select(right_schema.names).cast(right_schema)
+            for t in tabs if t.num_rows]
+    small = pa.concat_tables(tabs) if tabs else right_schema.empty_table()
+    return _broadcast(left, small, on, how, left_schema=left_schema)
+
+
 def bgp_match(triples: rd.Dataset,
               patterns: list[tuple[str, str, str]],
               select: list[str] | None = None,
@@ -2051,7 +2022,7 @@ def bgp_match(triples: rd.Dataset,
               limit: int | None = None,
               binds: list[tuple[tuple, str]] | None = None,
               n_buckets: int = 64,
-              broadcast_rows: int = 1_000_000,
+              broadcast_rows: int = _BROADCAST_ROWS,
               typed_seed: bool = True) -> rd.Dataset:
     """General SPARQL basic-graph-pattern match over the triple set.
 
@@ -2131,19 +2102,18 @@ def bgp_match(triples: rd.Dataset,
     accumulated bindings before later joins shrinks every subsequent
     exchange.
 
-    Complements :func:`star_bgp_match` (the single-exchange kernel
-    for the all-same-subject special case): here patterns may chain
-    through ARBITRARY join variables, so the plan is a left-deep
-    sequence of partitioned hash joins — one |acc| + |rel| exchange
-    per join step, joined on ALL variables shared between the
-    accumulated bindings and the next pattern (natural-join
-    semantics). A pattern relation whose row count (known exactly
-    from the materialized scan, before any join executes) is ≤
-    ``broadcast_rows`` skips its exchange entirely: the relation is
-    collected once, put in the object store, and merged map-side
-    into every binding batch (inner and left joins alike — all
-    columns are string terms, so pandas' NaN padding converts
-    losslessly to typed Arrow NULLs). Predicate-filtered relations
+    Patterns may chain through ARBITRARY join variables, so the plan
+    is a left-deep sequence of solution joins
+    (:func:`_solution_join`), each on ALL variables shared between
+    the accumulated bindings and the next pattern (natural-join
+    semantics); a star on one subject is the same plan. A join step
+    whose pattern relation is larger than ``broadcast_rows`` is a
+    partitioned hash join, one |acc| + |rel| exchange. A pattern
+    relation whose row count (known exactly from the materialized
+    scan, before any join executes) is ≤ ``broadcast_rows`` skips
+    its exchange entirely: the relation is collected once, put in
+    the object store, and merged map-side into every binding batch
+    (inner and left joins alike). Predicate-filtered relations
     of even a trillion-triple corpus are usually far below the cap
     (the default 1M rows ≈ 120 MB of URI strings, one object-store
     copy per node); the BINDING stream itself never collects, so a
@@ -2174,10 +2144,6 @@ def bgp_match(triples: rd.Dataset,
     is the queried artifact); here the graph never exists in one
     place — bindings stream through partitioned exchanges.
     """
-    import pyarrow as pa
-
-    from .joins import hash_join
-
     n_req = len(patterns)
 
     def _norm(p) -> tuple:
@@ -2468,41 +2434,15 @@ def bgp_match(triples: rd.Dataset,
 
         return tagged.map_batches(_proj, batch_format="pandas")
 
-    out_schema = pa.schema([(v, pa.string()) for v in select])
+    out_schema = _str_schema(select)
 
     def _join_rel(acc: rd.Dataset, acc_vars: list[str], j: int,
                   shared: list[str], how: str) -> rd.Dataset:
-        """One join step: acc ⋈ _rel(j) on ``shared``. Relations at
-        or under ``broadcast_rows`` merge map-side off one
-        object-store copy; larger ones take the partitioned
-        hash-join exchange."""
-        vs = _pvars(j)
-        if pat_count.get(j, 0) > broadcast_rows:
-            return hash_join(
-                acc, _rel(j), on=shared, how=how,
-                n_buckets=n_buckets,
-                left_schema=pa.schema([(v, pa.string())
-                                       for v in acc_vars]),
-                right_schema=pa.schema([(v, pa.string())
-                                        for v in vs]))
-        import ray
-
-        from .dedup_docs import _cached_get
-        rel_df = _rel(j).to_pandas()
-        if not len(rel_df.columns):  # zero matches lose the schema
-            rel_df = pd.DataFrame({v: pd.Series(dtype=object)
-                                   for v in vs})
-        ref = ray.put(rel_df)
-        cols = list(acc_vars) + [v for v in vs if v not in shared]
-        schema = pa.schema([(c, pa.string()) for c in cols])
-
-        def _m(df: pd.DataFrame) -> pa.Table:
-            out = df.merge(_cached_get(ref), on=shared, how=how)
-            return pa.Table.from_pandas(
-                out[cols], schema=schema,
-                preserve_index=False).replace_schema_metadata(None)
-
-        return acc.map_batches(_m, batch_format="pandas")
+        """One join step: acc ⋈ _rel(j) on ``shared``."""
+        return _solution_join(acc, _rel(j), shared, how,
+                              pat_count.get(j, 0), broadcast_rows,
+                              n_buckets, _str_schema(acc_vars),
+                              _str_schema(_pvars(j)))
 
     # constants-only REQUIRED patterns gate the result (SPARQL ASK)
     for i in [i for i in range(n_req) if not _pvars(i)]:
@@ -3181,30 +3121,30 @@ def bgp_subquery(triples: rd.Dataset,
                  optional: list[tuple[str, str, str]] | None = None,
                  filters: list[tuple[str, str, str]] | None = None,
                  n_buckets: int = 64,
-                 broadcast_rows: int = 1_000_000) -> rd.Dataset:
+                 broadcast_rows: int = _BROADCAST_ROWS) -> rd.Dataset:
     """SPARQL subquery: ``SELECT ... WHERE { <patterns> { SELECT ...
     } }`` — the inner SELECT's solution sequence (``sub``, typically
     a :func:`bgp_aggregate` result) joins the outer BGP's solutions
     on the shared variables ``on``, per SPARQL's bottom-up subquery
     evaluation. The inner sequence's non-key columns (aggregate
-    aliases) extend the outer bindings.
+    aliases) extend the outer bindings. A NULL key (an OPTIONAL
+    variable left unbound, on either side) never matches.
 
     Scale shape: the outer plan is a full :func:`bgp_match`; the
     inner sequence is usually AGGREGATE-SMALL (one row per group), so
-    at or under ``broadcast_rows`` it collects once and merges
-    map-side into every outer batch — no exchange; above the cap it
-    takes the partitioned hash join. ``select`` defaults to the outer
-    variables plus every inner column.
+    at or under ``broadcast_rows`` the solution join
+    (:func:`_solution_join`) broadcasts it into every outer batch —
+    no exchange; above the cap it takes the partitioned hash join.
+    ``select`` defaults to the outer variables plus every inner
+    column.
     """
-    import pyarrow as pa
-
-    from .joins import hash_join
+    from .joins import _arrow_schema, _join_schema
 
     outer_vars = _pattern_vars(list(patterns) + list(optional or []))
     sub = sub.materialize()  # count + collect must not re-execute
-    sub_schema = sub.schema()
-    if sub_schema is None:
+    if sub.schema() is None:
         raise ValueError("subquery result has no schema")
+    sub_schema = _arrow_schema(sub)
     sub_cols = list(sub_schema.names)
     bad = [v for v in on if v not in outer_vars or v not in sub_cols]
     if bad:
@@ -3219,56 +3159,13 @@ def bgp_subquery(triples: rd.Dataset,
                       optional=optional, filters=filters,
                       n_buckets=n_buckets,
                       broadcast_rows=broadcast_rows)
-
-    def _pa_type(t) -> pa.DataType:
-        if isinstance(t, pa.DataType):
-            return t
-        try:  # pandas-block schemas carry numpy dtypes
-            if t == object:
-                return pa.string()
-            return pa.from_numpy_dtype(t)
-        except (pa.ArrowNotImplementedError, TypeError):
-            return pa.string()
-
-    sub_types = {n: _pa_type(t) for n, t in
-                 zip(sub_schema.names,
-                     getattr(sub_schema, "types", None)
-                     or [pa.string()] * len(sub_cols))}
-    out_fields = []
-    for c in select:
-        if c in outer_sel and c not in on:
-            out_fields.append((c, pa.string()))
-        elif c in on:
-            out_fields.append((c, pa.string()))
-        else:
-            out_fields.append((c, sub_types.get(c, pa.string())))
-    out_schema = pa.schema(out_fields)
-
-    if sub.count() <= broadcast_rows:
-        import ray
-
-        from .dedup_docs import _cached_get
-        sub_df = sub.to_pandas()
-        if not len(sub_df.columns):
-            sub_df = pd.DataFrame({c: pd.Series(dtype=object)
-                                   for c in sub_cols})
-        ref = ray.put(sub_df)
-
-        def _m(df: pd.DataFrame) -> pa.Table:
-            out = df.merge(_cached_get(ref), on=list(on), how="inner")
-            return pa.Table.from_pandas(
-                out[list(select)], schema=out_schema,
-                preserve_index=False).replace_schema_metadata(None)
-
-        joined = outer.map_batches(_m, batch_format="pandas")
-    else:
-        joined = hash_join(
-            outer, sub, on=list(on), n_buckets=n_buckets,
-            left_schema=pa.schema([(v, pa.string())
-                                   for v in outer_sel]))
-        joined = joined.map_batches(
-            lambda t: t.select(list(select)).cast(out_schema),
-            batch_format="pyarrow")
+    joined = _solution_join(outer, sub, list(on), "inner", sub.count(),
+                            broadcast_rows, n_buckets,
+                            _str_schema(outer_sel), sub_schema)
+    js = _join_schema(_str_schema(outer_sel), sub_schema, list(on), "_r")
+    out_schema = pa.schema([js.field(c) for c in select])
+    if js.names != list(select):
+        joined = joined.select_columns(list(select))
     if distinct:
         joined = distinct_rows(joined, out_schema, n_buckets)
     return rd.from_arrow(out_schema.empty_table()).union(joined)
@@ -3287,9 +3184,7 @@ def bgp_union(triples: rd.Dataset,
     one combiner-first row-hash exchange over the concatenated
     stream; the branches themselves never exchange against each
     other."""
-    import pyarrow as pa
-
-    out_schema = pa.schema([(v, pa.string()) for v in select])
+    out_schema = _str_schema(select)
     parts = []
     for g in groups:
         pats, opt = g if isinstance(g, tuple) else (g, None)
@@ -3358,6 +3253,55 @@ def describe_subjects(triples: rd.Dataset,
     return semi_join_filter(triples, vals.to_numpy(), "subj")
 
 
+def _probe_join(triples, patterns, probe, how: str, clause: str,
+                select, distinct, optional, filters,
+                n_buckets: int) -> rd.Dataset:
+    """The body of MINUS (``how="anti"``) and FILTER EXISTS
+    (``how="inner"`` on DISTINCT keys: a semi-join, which keeps each
+    surviving main solution's multiplicity).
+
+    Both sides are independent :func:`bgp_match` plans off the shared
+    predicate-filtered scan. The ``probe`` side reduces to its
+    DISTINCT shared-variable projection (combiner-first), and the
+    main bindings meet those keys in one solution join
+    (:func:`_solution_join`): a key set at or under the broadcast cap
+    is collected once and broadcast into every main batch, a larger
+    one takes one partitioned hash exchange carrying |main bindings| +
+    |distinct keys| rows, never a cross product.
+
+    Restriction (checked): the probe patterns must share at least one
+    variable with the REQUIRED main patterns, and only required-bound
+    variables take part in the join, so the shared bindings are never
+    NULL: the regime where SPARQL MINUS, FILTER NOT EXISTS and FILTER
+    EXISTS coincide with the SQL ``NOT EXISTS`` / ``EXISTS`` equality
+    joins the oracles replay."""
+    req_vars = _pattern_vars(patterns)
+    probe_vars = set(_pattern_vars(probe))
+    shared = [v for v in req_vars if v in probe_vars]
+    if not shared:
+        raise ValueError(
+            f"{clause} patterns share no variable with the required "
+            "main patterns")
+    if select is None:
+        select = list(dict.fromkeys(
+            req_vars + _pattern_vars(optional or [])))
+    out_schema = _str_schema(select)
+    main_sel = list(dict.fromkeys(list(select) + shared))
+    main = bgp_match(triples, patterns, select=main_sel,
+                     optional=optional, filters=filters,
+                     n_buckets=n_buckets)
+    keys = bgp_match(triples, probe, select=shared, distinct=True,
+                     n_buckets=n_buckets).materialize()
+    kept = _solution_join(main, keys, shared, how, keys.count(),
+                          _BROADCAST_ROWS, n_buckets,
+                          _str_schema(main_sel), _str_schema(shared))
+    if list(select) != main_sel:
+        kept = kept.select_columns(list(select))
+    if distinct:
+        kept = distinct_rows(kept, out_schema, n_buckets)
+    return rd.from_arrow(out_schema.empty_table()).union(kept)
+
+
 def bgp_minus(triples: rd.Dataset,
               patterns: list[tuple[str, str, str]],
               minus: list[tuple[str, str, str]],
@@ -3365,99 +3309,16 @@ def bgp_minus(triples: rd.Dataset,
               distinct: bool = False,
               optional: list[tuple[str, str, str]] | None = None,
               filters: list[tuple[str, str, str]] | None = None,
-              n_buckets: int = 64,
-              _force_anti: bool = False) -> rd.Dataset:
+              n_buckets: int = 64) -> rd.Dataset:
     """SPARQL negation: ``patterns MINUS { minus }`` (equivalently
-    ``FILTER NOT EXISTS`` under the restriction below) — solutions of
-    the main graph pattern are removed when the negation pattern has
-    a solution agreeing on every shared variable.
-
-    Restriction (checked): the negation patterns must share at least
-    one variable with the REQUIRED main patterns, and only
-    required-bound variables participate in the anti-join — shared
-    bindings are therefore never NULL, which is exactly the regime
-    where SPARQL MINUS and FILTER NOT EXISTS coincide and both equal
-    the SQL ``NOT EXISTS`` equality anti-join the oracle replays.
-
-    Scale shape: both sides are independent :func:`bgp_match` plans
-    off the shared predicate-filtered scan; the negation side reduces
-    to its DISTINCT shared-variable projection (combiner-first)
-    before one partitioned hash ANTI-join exchange
-    (:func:`~rdf_extraction_ray.stages.joins.hash_join` with
-    ``how="anti"``) — the exchange carries |main bindings| + |distinct
-    negation keys| rows, never a cross product. The reference answers
-    such queries by set-difference walks over the in-RAM uber-graph
-    (cwrc/RDF-extraction Utils/utilities.py:552-556).
-
-    Fast path (equality-tested against the anti-join plan): a
-    SINGLE-pattern negation that binds a variable outside the main
-    pattern rewrites as the classic ``OPTIONAL { P } FILTER
-    (!BOUND(marker))`` — ONE shared scan and one LEFT-join exchange
-    instead of two scans plus the anti exchange. It engages only when
-    the caller passes no ``optional`` of their own (their optionals
-    would have to left-join BEFORE the negation probe) and the
-    rewrite is observation-equivalent: unmatched left rows appear
-    exactly once in a left join, and matched rows are dropped
-    wholesale by the unbound test, so join multiplicity never leaks.
-    """
-    import pyarrow as pa
-
-    from .joins import hash_join
-
-    req_vars = _pattern_vars(patterns)
-    minus_vars = set(_pattern_vars(minus))
-    shared = [v for v in req_vars if v in minus_vars]
-    if not shared:
-        raise ValueError(
-            "MINUS patterns share no variable with the required "
-            "main patterns")
-    all_vars = list(req_vars)
-    for v in _pattern_vars(optional or []):
-        if v not in all_vars:
-            all_vars.append(v)
-    if select is None:
-        select = list(all_vars)
-    out_schema = pa.schema([(v, pa.string()) for v in select])
-
-    if optional is None and len(minus) == 1 and not _force_anti:
-        mvars = _pattern_vars([minus[0]])
-        cand = [v for v in mvars
-                if v not in all_vars and v not in select]
-        if cand:
-            # one-scan rewrite: OPTIONAL { P } + keep-unbound(marker)
-            marker = cand[0]
-            ext = bgp_match(
-                triples, patterns,
-                select=list(dict.fromkeys(list(select) + [marker])),
-                optional=[tuple(minus[0])], filters=filters,
-                n_buckets=n_buckets)
-
-            def _unbound(df: pd.DataFrame) -> pd.DataFrame:
-                return (df[df[marker].isna()][list(select)]
-                        .reset_index(drop=True))
-
-            kept = ext.map_batches(_unbound, batch_format="pandas")
-            if distinct:
-                kept = distinct_rows(kept, out_schema, n_buckets)
-            return rd.from_arrow(out_schema.empty_table()).union(kept)
-
-    main_sel = list(dict.fromkeys(list(select) + shared))
-    main = bgp_match(triples, patterns, select=main_sel,
-                     optional=optional, filters=filters,
-                     n_buckets=n_buckets)
-    neg = bgp_match(triples, minus, select=shared, distinct=True,
-                    n_buckets=n_buckets)
-    kept = hash_join(main, neg, on=shared, how="anti",
-                     n_buckets=n_buckets)
-    if kept.schema() is None:
-        return rd.from_arrow(out_schema.empty_table())
-    if list(select) != main_sel:
-        kept = kept.map_batches(
-            lambda t: t.select(list(select)).cast(out_schema),
-            batch_format="pyarrow")
-    if distinct:
-        kept = distinct_rows(kept, out_schema, n_buckets)
-    return rd.from_arrow(out_schema.empty_table()).union(kept)
+    ``FILTER NOT EXISTS`` under :func:`_probe_join`'s restriction) —
+    solutions of the main graph pattern are removed when the negation
+    pattern has a solution agreeing on every shared variable: an ANTI
+    solution join against the negation's distinct keys. The reference
+    answers such queries by set-difference walks over the in-RAM
+    uber-graph (cwrc/RDF-extraction Utils/utilities.py:552-556)."""
+    return _probe_join(triples, patterns, minus, "anti", "MINUS",
+                       select, distinct, optional, filters, n_buckets)
 
 
 def bgp_exists(triples: rd.Dataset,
@@ -3473,61 +3334,12 @@ def bgp_exists(triples: rd.Dataset,
     the EXISTS pattern has a solution agreeing on every shared
     variable. Surviving solutions keep their exact multiplicity (a
     semi-join, NOT a join: however many EXISTS witnesses a solution
-    has, it appears once).
-
-    Restriction (checked, same as MINUS): the EXISTS patterns must
-    share at least one variable with the REQUIRED main patterns, and
-    only required-bound variables participate in the probe — shared
-    bindings are never NULL, which is the regime where the SPARQL
-    substitution semantics coincide with the SQL ``EXISTS`` equality
-    semi-join the oracle replays.
-
-    Scale shape: both sides are independent :func:`bgp_match` plans
-    off the shared predicate-filtered scan; the EXISTS side reduces
-    to its DISTINCT shared-variable projection (combiner-first)
-    before ONE partitioned hash join — joining against DISTINCT keys
-    is exactly the semi-join (left multiplicity preserved, no fan
-    out), so the exchange carries |main bindings| + |distinct witness
-    keys| rows. The reference answers such queries by membership
+    has, it appears once), because the join runs against the DISTINCT
+    witness keys. The reference answers such queries by membership
     walks over the in-RAM uber-graph (cwrc/RDF-extraction
     Utils/utilities.py:552-556)."""
-    import pyarrow as pa
-
-    from .joins import hash_join
-
-    req_vars = _pattern_vars(patterns)
-    ex_vars = set(_pattern_vars(exists))
-    shared = [v for v in req_vars if v in ex_vars]
-    if not shared:
-        raise ValueError(
-            "EXISTS patterns share no variable with the required "
-            "main patterns")
-    all_vars = list(req_vars)
-    for v in _pattern_vars(optional or []):
-        if v not in all_vars:
-            all_vars.append(v)
-    if select is None:
-        select = list(all_vars)
-    out_schema = pa.schema([(v, pa.string()) for v in select])
-
-    main_sel = list(dict.fromkeys(list(select) + shared))
-    main = bgp_match(triples, patterns, select=main_sel,
-                     optional=optional, filters=filters,
-                     n_buckets=n_buckets)
-    keys = bgp_match(triples, exists, select=shared, distinct=True,
-                     n_buckets=n_buckets)
-    kept = hash_join(main, keys, on=shared, n_buckets=n_buckets,
-                     left_schema=pa.schema([(v, pa.string())
-                                            for v in main_sel]),
-                     right_schema=pa.schema([(v, pa.string())
-                                             for v in shared]))
-    if list(select) != main_sel:
-        kept = kept.map_batches(
-            lambda t: t.select(list(select)).cast(out_schema),
-            batch_format="pyarrow")
-    if distinct:
-        kept = distinct_rows(kept, out_schema, n_buckets)
-    return rd.from_arrow(out_schema.empty_table()).union(kept)
+    return _probe_join(triples, patterns, exists, "inner", "EXISTS",
+                       select, distinct, optional, filters, n_buckets)
 
 
 _BGP_AGG_FNS = ("count", "count_distinct", "min", "max",

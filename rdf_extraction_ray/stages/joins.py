@@ -1,24 +1,32 @@
 """Join operators (SURVEY §2.5).
 
-The reference's joins are ALL broadcast-small-side dictionary lookups
-(27k CSV rows); the engine generalizes to three join shapes:
+One join kernel, two ways of distributing the data. The kernel,
+:func:`merge_sides`, merges one left frame with one right frame on the
+join key: inner, left or anti, SQL key equality (a NULL key never
+matches, on either side) and typed Arrow out. What differs is how the
+two sides meet:
 
-- :func:`broadcast_join` — small side shipped once via ``ray.put``,
-  merged per batch inside ``map_batches``. No shuffle. This is the
-  engine-native form of every reference join (J1-J7, J9).
-- :func:`hash_join` — both sides large: explicit partitioned hash
-  join. Each side gets a deterministic ``__bucket`` column
-  (``hash(key) % n_buckets``), the tagged union is sorted on it
-  (:func:`~.dedup.bucket_exchange`), and each sorted block — many
-  whole buckets — merges its two sides with one vectorized pandas
-  merge on the join key. One shuffle each side; skewed keys can be
-  salted by raising ``n_buckets``. (Ray's experimental
-  ``Dataset.join`` exists in this version; we keep an explicit
-  implementation so the partitioning contract is visible and
-  portable.)
-- semi/anti join: distributed distinct of the filter keys
-  (:func:`distinct_values`), broadcast once, filter per batch
-  (:func:`semi_join_filter`).
+- **Broadcast** (:func:`broadcast_join`): the small side is collected
+  once, shipped via ``ray.put`` and merged into every batch of the
+  large side inside ``map_batches``. No shuffle. This is the
+  engine-native form of every reference join (J1-J7, J9); the
+  reference's joins are all broadcast-small-side dictionary lookups
+  (27k CSV rows).
+- **Exchange** (:func:`hash_join`): both sides large. Each side gets
+  a deterministic ``__bucket`` column (``hash(key) % n_buckets``),
+  the tagged union is sorted on it (:func:`~.dedup.bucket_exchange`),
+  and each sorted block (many whole buckets) is one kernel call. One
+  shuffle each side; skewed keys can be salted by raising
+  ``n_buckets``. (Ray's experimental ``Dataset.join`` exists in this
+  version; we keep an explicit implementation so the partitioning
+  contract is visible and portable.)
+
+Every SPARQL solution join (BGP steps, OPTIONAL, subqueries, MINUS,
+FILTER EXISTS) runs this kernel; the SPARQL operators pick the
+distribution from the right side's known row count
+(:func:`~.graph._solution_join`). The set filters
+:func:`distinct_values` + :func:`semi_join_filter` cover the
+non-SPARQL semi/anti joins.
 
 The tagged-union exchange is **Arrow end-to-end**: each side is padded
 to the union schema with TYPED null columns (``pa.nulls(n, type)``),
@@ -44,21 +52,147 @@ def _bucket_of(series: pd.Series, n: int) -> np.ndarray:
             % n).to_numpy().astype("int64")
 
 
+def _pdf(tab: pa.Table) -> pd.DataFrame:
+    """An Arrow table as a pandas frame whose dtypes survive exactly.
+
+    Integer columns carrying nulls would round-trip through float64,
+    rounding values above 2^53 and crashing the int64 cast back, so
+    null-bearing tables go through pandas' masked integer dtypes
+    instead. ``null_count`` is O(1) metadata, so the common null-free
+    case stays on the fast numpy path."""
+    has_int_nulls = any(
+        tab.column(i).null_count > 0
+        and pa.types.is_integer(tab.schema.field(i).type)
+        for i in range(tab.num_columns))
+    if not has_int_nulls:
+        return tab.to_pandas()
+    mapper = {pa.int64(): pd.Int64Dtype(),
+              pa.int32(): pd.Int32Dtype(),
+              pa.int16(): pd.Int16Dtype(),
+              pa.int8(): pd.Int8Dtype()}.get
+    return tab.to_pandas(types_mapper=mapper)
+
+
+def _join_schema(left: pa.Schema, right: pa.Schema, on_cols: list[str],
+                 suffix: str) -> pa.Schema:
+    """Output schema of a join: the left columns, then the right
+    non-key columns (``suffix``-ed where a left column has the name)."""
+    fields = list(zip(left.names, left.types))
+    fields += [(c + suffix if c in left.names else c, t)
+               for c, t in zip(right.names, right.types)
+               if c not in on_cols]
+    return pa.schema(fields)
+
+
+def _to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    return pa.Table.from_pandas(
+        df[schema.names], schema=schema,
+        preserve_index=False).replace_schema_metadata(None)
+
+
+def _left_pad(unmatched: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """Unmatched left rows with typed NULL right columns, built column
+    by column so left dtypes never round-trip through a NaN-promoted
+    float64 frame (which would corrupt int64 values above 2^53)."""
+    cols = [pa.Array.from_pandas(unmatched[f.name], type=f.type)
+            if f.name in unmatched.columns
+            else pa.nulls(len(unmatched), type=f.type)
+            for f in schema]
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
+def _check_how(how: str) -> None:
+    if how not in ("inner", "left", "anti"):
+        raise ValueError(
+            f"joins support how='inner'/'left'/'anti', got {how!r} — "
+            "'outer'/'right' would silently drop right-only rows here")
+
+
+def merge_sides(l: pd.DataFrame, r: pd.DataFrame, on_cols: list[str],
+                how: str, out_schema: pa.Schema,
+                suffix: str = "_r") -> pa.Table:
+    """The join kernel: ``l`` ⋈ ``r`` on ``on_cols`` as a typed Arrow
+    table in ``out_schema`` (see :func:`_join_schema`).
+
+    SQL key equality: a NULL key never matches (pandas merge alone
+    would pair NaN with NaN). Null-keyed right rows never contribute;
+    null-keyed left rows drop from an inner join, survive a left join
+    unmatched and always survive an anti join.
+
+    - ``how="inner"``: every matching pair.
+    - ``how="left"``: also the unmatched left rows, with typed NULL
+      right columns. Matched and unmatched rows are built as separate
+      Arrow tables: pandas' left merge would promote missing right
+      ints to float64, rounding values above 2^53.
+    - ``how="anti"``: the left rows with no key match on the right
+      (SQL ``NOT EXISTS`` with equality); ``out_schema`` is the left
+      schema.
+
+    One-sided inputs return a TYPED empty (or, for left joins, pad the
+    whole left side), never a pandas-inferred column-less frame, which
+    trips the executor's schema-unification warning.
+    """
+    if not len(l) or (how == "inner" and not len(r)):
+        return out_schema.empty_table()
+    if len(r) and r[on_cols].isna().any().any():
+        r = r.dropna(subset=on_cols)
+    if how == "inner" and l[on_cols].isna().any().any():
+        l = l.dropna(subset=on_cols)
+    if how == "inner" and not (len(l) and len(r)):
+        return out_schema.empty_table()
+    if how == "left" and not len(r):
+        return _left_pad(l, out_schema)
+    if how == "anti" and not len(r):
+        return _to_arrow(l, out_schema)
+    if how in ("left", "anti"):
+        keyed = l.merge(r[on_cols].drop_duplicates(), on=on_cols,
+                        how="left", indicator=True)
+        unmatched = l[(keyed["_merge"] == "left_only").to_numpy()]
+        if how == "anti":
+            return _to_arrow(unmatched, out_schema)
+    out = _to_arrow(l.merge(r, on=on_cols, how="inner",
+                            suffixes=("", suffix)), out_schema)
+    if how == "left":
+        return pa.concat_tables([out, _left_pad(unmatched, out_schema)])
+    return out
+
+
+def _broadcast(large: rd.Dataset, small: pa.Table, on_cols: list[str],
+               how: str, suffix: str = "_r",
+               left_schema: pa.Schema | None = None) -> rd.Dataset:
+    """The broadcast distribution of :func:`merge_sides`: ``small``
+    goes to the object store ONCE, as the pandas frame the kernel
+    reads, and each batch of ``large`` is one kernel call. Without
+    ``left_schema`` the output schema follows each batch's own."""
+    from .dedup_docs import _cached_get
+
+    _check_how(how)
+    if how == "anti":
+        small = small.select(on_cols)
+    ref = ray.put(_pdf(small))
+    rschema = small.schema
+    fixed = (None if left_schema is None
+             else _join_schema(left_schema, rschema, on_cols, suffix))
+
+    def _merge(t: pa.Table) -> pa.Table:
+        out_schema = (fixed if fixed is not None else
+                      _join_schema(t.schema, rschema, on_cols, suffix))
+        return merge_sides(_pdf(t), _cached_get(ref), on_cols, how,
+                           out_schema, suffix)
+
+    return large.map_batches(_merge, batch_format="pyarrow")
+
+
 def broadcast_join(large: rd.Dataset, small_df: pd.DataFrame, on: str | list,
                    how: str = "inner", suffix: str = "_r") -> rd.Dataset:
-    """Merge a small pandas table into every batch of ``large``.
-
-    The small side is put in the object store ONCE; each task reads it
-    zero-copy instead of re-shipping it per batch (per-task closure
-    capture of a ref is cheap; ``ray.get`` inside the task dedups).
-    """
-    ref = ray.put(small_df)
-
-    def _merge(batch: pd.DataFrame) -> pd.DataFrame:
-        right = ray.get(ref)
-        return batch.merge(right, on=on, how=how, suffixes=("", suffix))
-
-    return large.map_batches(_merge, batch_format="pandas")
+    """Merge a small pandas table into every batch of ``large`` with
+    the join kernel (:func:`merge_sides`; ``how`` is inner, left or
+    anti). The small side is put in the object store ONCE; each task
+    reads it instead of re-shipping it per batch."""
+    on_cols = [on] if isinstance(on, str) else list(on)
+    return _broadcast(large,
+                      pa.Table.from_pandas(small_df, preserve_index=False),
+                      on_cols, how, suffix)
 
 
 def distinct_values(ds: rd.Dataset, column: str, pre=None,
@@ -183,25 +317,6 @@ def _side_frames(t: pa.Table, left_cols: list[str], right_cols: list[str]
     padding nulls ever reach pandas, so dtypes survive exactly."""
     import pyarrow.compute as pc
 
-    def _pdf(tab: pa.Table) -> pd.DataFrame:
-        # integer columns carrying REAL nulls (not padding — those
-        # were projected away) would round-trip through float64,
-        # rounding values above 2^53 and crashing the int64 cast
-        # back; route null-bearing tables through pandas' masked
-        # integer dtypes instead. null_count is O(1) metadata, so the
-        # common null-free case stays on the fast numpy path.
-        has_int_nulls = any(
-            tab.column(i).null_count > 0
-            and pa.types.is_integer(tab.schema.field(i).type)
-            for i in range(tab.num_columns))
-        if not has_int_nulls:
-            return tab.to_pandas()
-        mapper = {pa.int64(): pd.Int64Dtype(),
-                  pa.int32(): pd.Int32Dtype(),
-                  pa.int16(): pd.Int16Dtype(),
-                  pa.int8(): pd.Int8Dtype()}.get
-        return tab.to_pandas(types_mapper=mapper)
-
     side = t.column("__side")
     l = _pdf(t.filter(pc.equal(side, 0)).select(left_cols))
     r = _pdf(t.filter(pc.equal(side, 1)).select(right_cols))
@@ -246,14 +361,10 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
                 "pass left_schema/right_schema explicitly (lazy "
                 "exchange outputs lose schema on this Ray version)")
     rschema = right_schema or _arrow_schema(right)
+    lschema = left_schema or _arrow_schema(left)
     all_cols, (left_cols, right_cols), type_of = _union_schema(
-        left_schema or _arrow_schema(left), rschema)
-    right_types = dict(zip(rschema.names, rschema.types))
-    out_fields = [(c, type_of[c]) for c in left_cols]
-    out_fields += [(c + suffix if c in left_cols else c, right_types[c])
-                   for c in right_cols if c not in (by, on)]
-    out_schema = pa.schema(out_fields)
-    out_cols = out_schema.names
+        lschema, rschema)
+    out_schema = _join_schema(lschema, rschema, [by, on], suffix)
 
     tagged = left.map_batches(
         _tagger(0, left_cols, all_cols, type_of, [by], n_buckets),
@@ -299,9 +410,7 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
         out = pd.merge_asof(l, r, on=on, by=by, direction="backward",
                             suffixes=("", suffix))
         out = out[out["__rmatch"].notna()]
-        return pa.Table.from_pandas(
-            out[out_cols], schema=out_schema,
-            preserve_index=False).replace_schema_metadata(None)
+        return _to_arrow(out, out_schema)
 
     return bucket_exchange(tagged, _merge_bucket, key="__bucket",
                            batch_format="pyarrow")
@@ -314,31 +423,23 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
               right_schema: pa.Schema | None = None) -> rd.Dataset:
     """Partitioned hash join of two Datasets on ``on``.
 
-    Both sides are tagged (``__side``), bucketed on the key hash,
-    unioned, sorted on the bucket, and merged once per sorted block
-    (many buckets per merge; the merge keys on ``on``). The shuffle
-    volume is |left| + |right| rows, once, in Arrow blocks.
+    The exchange distribution of :func:`merge_sides`: both sides are
+    tagged (``__side``), bucketed on the key hash, unioned and sorted
+    on the bucket, and each sorted block (many buckets) is one kernel
+    call. The shuffle volume is |left| + |right| rows, once, in Arrow
+    blocks. ``how`` is inner, left or anti, with the kernel's NULL-key
+    semantics.
 
-    ``how="left"``: unmatched left rows survive with typed Arrow
-    NULLs in the right columns (matched/unmatched are built as
-    separate Arrow tables, so no value ever round-trips through a
-    NaN-promoted float64 frame). Consumers that need exact int64
-    right values above 2^53 must coalesce the nulls IN-PIPELINE
+    ``how="left"``: consumers that need exact int64 right values
+    above 2^53 must coalesce the NULLs of unmatched rows IN-PIPELINE
     (``pyarrow.compute.fill_null`` in a map_batches) — a driver
     ``to_pandas()`` of int64-with-nulls converts via float64.
 
-    ``how="anti"``: left rows with NO key match on the right (SQL
-    ``NOT EXISTS`` with equality — a NULL key never matches, so
-    null-keyed left rows always survive and null-keyed right rows
-    never eliminate). The right side is projected to its key columns
+    ``how="anti"``: the right side is projected to its key columns
     before the exchange, so the shuffle carries |left| + |right keys|
     rows and the output schema is exactly the left schema.
     """
-    if how not in ("inner", "left", "anti"):
-        raise ValueError(
-            f"hash_join supports how='inner'/'left'/'anti', got "
-            f"{how!r} — 'outer'/'right' would silently drop "
-            "right-only buckets here")
+    _check_how(how)
     if left_schema is None and left.schema() is None:
         if _provably_empty(left):
             # empty LEFT: every supported join flavor is empty
@@ -371,14 +472,10 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
             "hash_join: right side has rows but reports no schema — "
             "pass right_schema explicitly")
     rschema = right_schema or _arrow_schema(right)
+    lschema = left_schema or _arrow_schema(left)
     all_cols, (left_cols, right_cols), type_of = _union_schema(
-        left_schema or _arrow_schema(left), rschema)
-    right_types = dict(zip(rschema.names, rschema.types))
-    out_fields = [(c, type_of[c]) for c in left_cols]
-    out_fields += [(c + suffix if c in left_cols else c, right_types[c])
-                   for c in right_cols if c not in on_cols]
-    out_schema = pa.schema(out_fields)
-    out_cols = out_schema.names
+        lschema, rschema)
+    out_schema = _join_schema(lschema, rschema, on_cols, suffix)
 
     tagged = left.map_batches(
         _tagger(0, left_cols, all_cols, type_of, on_cols, n_buckets),
@@ -386,71 +483,9 @@ def hash_join(left: rd.Dataset, right: rd.Dataset, on: str | list[str],
             _tagger(1, right_cols, all_cols, type_of, on_cols, n_buckets),
             batch_format="pyarrow"))
 
-    def _left_pad(unmatched: pd.DataFrame) -> pa.Table:
-        """Unmatched left rows with typed NULL right columns — built
-        column-by-column so left dtypes never round-trip through a
-        NaN-promoted float64 frame (which would corrupt int64 values
-        above 2^53)."""
-        cols = []
-        for f in out_schema:
-            if f.name in unmatched.columns:
-                cols.append(pa.Array.from_pandas(unmatched[f.name],
-                                                 type=f.type))
-            else:
-                cols.append(pa.nulls(len(unmatched), type=f.type))
-        return pa.Table.from_arrays(cols, schema=out_schema)
-
     def _merge_bucket(t: pa.Table) -> pa.Table:
         l, r = _side_frames(t, left_cols, right_cols)
-        # one-sided blocks return a TYPED empty (or, for left joins,
-        # pad the whole left side) — never let pandas infer a
-        # column-less schema, which trips the executor's
-        # schema-unification warning
-        if not len(l) or (how == "inner" and not len(r)):
-            return out_schema.empty_table()
-        if how == "anti":
-            if len(r):
-                # NOT-EXISTS equality semantics: null keys never
-                # match, so null-keyed probe rows survive untouched
-                # and null-keyed right keys are dropped (pandas merge
-                # would otherwise pair NaN with NaN)
-                rk = r[on_cols].dropna().drop_duplicates()
-                keyed = l.merge(rk, on=on_cols, how="left",
-                                indicator=True)
-                l = l[(keyed["_merge"] == "left_only").to_numpy()]
-            return pa.Table.from_pandas(
-                l[out_cols], schema=out_schema,
-                preserve_index=False).replace_schema_metadata(None)
-        # SQL equality: a NULL key never matches (pandas merge would
-        # pair NaN with NaN, diverging from the oracle and from this
-        # module's own anti flavor). Null-keyed right rows can never
-        # contribute; null-keyed left rows drop from inner and ride
-        # the unmatched path of a left join.
-        if len(r) and r[on_cols].isna().any().any():
-            r = r.dropna(subset=on_cols)
-        if how == "inner" and len(l) \
-                and l[on_cols].isna().any().any():
-            l = l.dropna(subset=on_cols)
-            if not len(l) or not len(r):
-                return out_schema.empty_table()
-        if how == "left":
-            # split matched/unmatched explicitly: pandas' how="left"
-            # merge promotes missing right ints to float64, silently
-            # rounding values above 2^53
-            if not len(r):
-                return _left_pad(l)
-            m = l.merge(r, on=on_cols, how="inner", suffixes=("", suffix))
-            keyed = l.merge(r[on_cols].drop_duplicates(), on=on_cols,
-                            how="left", indicator=True)
-            unmatched = l[(keyed["_merge"] == "left_only").to_numpy()]
-            matched = pa.Table.from_pandas(
-                m[out_cols], schema=out_schema,
-                preserve_index=False).replace_schema_metadata(None)
-            return pa.concat_tables([matched, _left_pad(unmatched)])
-        out = l.merge(r, on=on_cols, how=how, suffixes=("", suffix))
-        return pa.Table.from_pandas(
-            out[out_cols], schema=out_schema,
-            preserve_index=False).replace_schema_metadata(None)
+        return merge_sides(l, r, on_cols, how, out_schema, suffix)
 
     return bucket_exchange(tagged, _merge_bucket, key="__bucket",
                            batch_format="pyarrow")

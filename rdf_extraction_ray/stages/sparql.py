@@ -28,8 +28,11 @@ raises a precise error outside it):
 * Solution modifiers GROUP BY / HAVING / ORDER BY [ASC|DESC] /
   LIMIT / OFFSET (OFFSET requires ORDER BY + LIMIT — the paginated
   top-k idiom; an unordered OFFSET is nondeterministic).
-* ``{ SELECT ... }`` subqueries (aggregate inner sequences, joined on
-  the shared variables via :func:`graph.bgp_subquery`).
+* ``{ SELECT ... }`` subqueries: an aggregate inner sequence joined
+  to the outer solutions on the shared variables
+  (:func:`graph.bgp_subquery`) by the same solution join as every
+  other join here (a NULL key, e.g. an unbound OPTIONAL variable,
+  never matches), broadcast when the inner sequence is small.
 * Property-path quantifiers ``p+`` (one-or-more) and ``p*``
   (zero-or-more; zero-length pairs are the graph's URI terms paired
   with themselves), over a forward or inverse (``^p``) predicate or
@@ -758,8 +761,6 @@ def _closure_pairs(G, triples, pred, star: bool,
     import pyarrow as pa
     import ray.data as rd
 
-    from rdf_extraction_ray.stages.dedup import bucket_exchange
-
     members = list(pred) if isinstance(pred, tuple) else [pred]
     fwd = [m for m in members if not m.startswith("^")]
     inv = [m[1:] for m in members if m.startswith("^")]
@@ -813,21 +814,7 @@ def _closure_pairs(G, triples, pred, star: bool,
 
         zero = triples.map_batches(_zero_rows, batch_format="pandas")
 
-    def _pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = df[["start", "node"]]
-        h = pd.util.hash_pandas_object(
-            g["start"].astype(str) + "\x00" + g["node"].astype(str),
-            index=False)
-        return g.assign(pb=(h % n_buckets).astype("int64"))
-
-    def _dedupe(df: pd.DataFrame) -> pa.Table:
-        return pa.Table.from_pandas(
-            df[["start", "node"]].drop_duplicates(), schema=pair_schema,
-            preserve_index=False).replace_schema_metadata(None)
-
-    return bucket_exchange(
-        clo.union(zero).map_batches(_pair_bucket, batch_format="pandas"),
-        _dedupe, key="pb")
+    return G.distinct_rows(clo.union(zero), pair_schema, n_buckets)
 
 
 def _compose_closures(G, triples, patterns, n_buckets: int):
@@ -869,6 +856,30 @@ def _compose_closures(G, triples, patterns, n_buckets: int):
     return aug, out_pats
 
 
+#: clauses whose patterns no scan matches: UNION branches and templates
+_UNSCANNED = ("union", "template", "delete", "insert")
+
+
+def _clauses(q: dict, prefix: str = ""):
+    """Every pattern of the query, with its clause: ``patterns``,
+    ``optional``, ``minus``, ``exists``, ``not_exists``, ``union``
+    and the templates ``template`` / ``delete`` / ``insert``; a
+    subquery's patterns come with its clause prefixed ``sub.``."""
+    g = q["group"]
+    for clause in ("patterns", "optional", "minus", "exists",
+                   "not_exists"):
+        for p in g[clause] or []:
+            yield prefix + clause, p
+    for pats, opt in g["union"] or []:
+        for p in list(pats) + list(opt or []):
+            yield prefix + "union", p
+    for clause in ("template", "delete", "insert"):
+        for p in q[clause] or []:
+            yield prefix + clause, p
+    if g["subquery"] is not None:
+        yield from _clauses(g["subquery"], "sub.")
+
+
 def run_sparql(triples, text: str, n_buckets: int = 64):
     """Parse ``text`` and execute it over the ``triples`` Dataset
     (columns subj/pred/obj[, provenance]) — a Dataset out for
@@ -880,27 +891,18 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
     q = parse_sparql(text)
     g = q["group"]
 
+    if g["subquery"] is not None \
+            and g["subquery"].get("offset") is not None:
+        raise NotImplementedError(
+            "OFFSET inside a subquery is not supported")
+    walk = list(_clauses(q))
+
     # closure paths (p+ / p*) outside the required pattern block are
-    # out of scope — loud errors, never a silent misplan
-    aux_pats = list(g["optional"]) + list(g["minus"] or []) \
-        + list(g["exists"] or []) + list(g["not_exists"] or []) \
-        + [p for pats, opt in (g["union"] or [])
-           for p in list(pats) + list(opt or [])] \
-        + list(q["template"] or []) + list(q["delete"] or []) \
-        + list(q["insert"] or [])
-    if g["subquery"] is not None:
-        ig = g["subquery"]["group"]
-        # subquery bodies route to bgp_aggregate, which reads a
-        # closure marker tuple as a plain predicate ALTERNATION —
-        # guard them too, or transitive patterns silently become
-        # single-hop matches
-        aux_pats += list(ig["patterns"]) + list(ig["optional"]) \
-            + list(ig["minus"] or []) + list(ig["exists"] or []) \
-            + list(ig["not_exists"] or [])
-        if g["subquery"].get("offset") is not None:
-            raise NotImplementedError(
-                "OFFSET inside a subquery is not supported")
-    if any(_is_closure(p) for p in aux_pats):
+    # out of scope — loud errors, never a silent misplan. Subquery
+    # bodies count too: they route to bgp_aggregate, which reads a
+    # closure marker tuple as a plain predicate ALTERNATION, so
+    # transitive patterns would silently become single-hop matches
+    if any(_is_closure(p) for clause, p in walk if clause != "patterns"):
         raise NotImplementedError(
             "p+/p* are supported in the required pattern block of "
             "the (outer) query only")
@@ -909,16 +911,8 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
     # supported in the required and OPTIONAL blocks; everywhere else
     # (UNION branches, MINUS / EXISTS bodies, subqueries, templates)
     # stays a loud error rather than a silently ignored 4th slot
-    no_quad_zones = list(g["minus"] or []) + list(g["exists"] or []) \
-        + list(g["not_exists"] or []) \
-        + [p for pats, opt in (g["union"] or [])
-           for p in list(pats) + list(opt or [])] \
-        + list(q["template"] or []) + list(q["delete"] or []) \
-        + list(q["insert"] or [])
-    if g["subquery"] is not None:
-        ig = g["subquery"]["group"]
-        no_quad_zones += list(ig["patterns"]) + list(ig["optional"])
-    if any(len(tuple(p)) == 4 for p in no_quad_zones):
+    if any(len(tuple(p)) == 4 for clause, p in walk
+           if clause not in ("patterns", "optional")):
         raise NotImplementedError(
             "GRAPH patterns are supported in the required and "
             "OPTIONAL blocks of the outer query only")
@@ -935,21 +929,17 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
         #    match the synthetic 'urn:x-sparql-closure:N' rows as if
         #    they were real triples — silently wrong solutions)
         #    — the aggregate subquery's body scans the same augmented
-        #    set, so its patterns count too (a UNION group holds no
-        #    required patterns, and closures inside its branches are
-        #    refused above, so no closure composes with a UNION)
-        _composed_zones = list(g["patterns"]) + list(g["optional"]) \
-            + list(g["minus"] or []) + list(g["exists"] or []) \
-            + list(g["not_exists"] or [])
-        if g["subquery"] is not None:
-            ig = g["subquery"]["group"]
-            _composed_zones += list(ig["patterns"]) + list(ig["optional"])
-        if any(len(tuple(p)) == 4 for p in _composed_zones):
+        #    set, so its patterns count too (templates are not
+        #    scanned, and closures inside UNION branches are refused
+        #    above, so no closure composes with a UNION)
+        scanned = [p for clause, p in walk
+                   if clause.rpartition(".")[2] not in _UNSCANNED]
+        if any(len(tuple(p)) == 4 for p in scanned):
             raise NotImplementedError(
                 "GRAPH patterns do not compose with p+/p* (the "
                 "closure union projects the graph column away)")
         if any(isinstance(p[1], str) and p[1].startswith("?")
-               for p in _composed_zones):
+               for p in scanned):
             raise NotImplementedError(
                 "variable predicates do not compose with p+/p* "
                 "(the unfiltered scan would match the derived "

@@ -552,7 +552,7 @@ class TestStarBGP:
         import pandas as pd
         import ray.data as rd
 
-        from rdf_extraction_ray.stages.graph import star_bgp_match
+        from rdf_extraction_ray.stages.graph import bgp_match
         rows = [
             # s1 binds: 2 occupations x 1 place -> 2 bindings
             ("s1", "occ", "farmer"), ("s1", "occ", "weaver"),
@@ -565,8 +565,9 @@ class TestStarBGP:
         ]
         tr = rd.from_pandas(pd.DataFrame(
             rows, columns=["subj", "pred", "obj"]))
-        out = star_bgp_match(
-            tr, [("job", "occ"), ("loc", "place")]).to_pandas()
+        out = bgp_match(
+            tr, [("?subj", "occ", "?job"),
+                 ("?subj", "place", "?loc")]).to_pandas()
         out = out.sort_values(["subj", "job"], ignore_index=True)
         exp = pd.DataFrame({
             "subj": ["s1", "s1", "s3"],
@@ -576,7 +577,8 @@ class TestStarBGP:
         # a pattern matching nothing -> typed empty, not a crash
         # (Ray's to_pandas drops names on an all-empty dataset, so
         # the binding schema is pinned at the Dataset level)
-        none = star_bgp_match(tr, [("job", "occ"), ("nope", "absent")])
+        none = bgp_match(tr, [("?subj", "occ", "?job"),
+                              ("?subj", "absent", "?nope")])
         assert none.schema().names == ["subj", "job", "nope"]
         assert none.count() == 0
 
@@ -1375,6 +1377,62 @@ class TestSparqlForms:
         df2 = out2.to_pandas().sort_values("p", ignore_index=True)
         pd.testing.assert_frame_equal(df, df2)
 
+    def test_null_keys_never_match_on_either_path(self):
+        """OPTIONAL leaves ?w unbound for bob and cara. Broadcast or
+        exchanged (``broadcast_rows=0``), every solution join returns
+        hash_join's rows: a NULL key never matches, not even another
+        NULL key."""
+        import pandas as pd
+        import ray.data as rd
+
+        from rdf_extraction_ray.stages.graph import (bgp_aggregate,
+                                                     bgp_match,
+                                                     bgp_subquery)
+        rows = [("e1", "died", "alice"), ("alice", "at", "york"),
+                ("e2", "died", "bob"), ("e3", "died", "cara")]
+        tr = rd.from_pandas(pd.DataFrame(
+            rows, columns=["subj", "pred", "obj"]))
+        pats = [("?ev", "died", "?p")]
+        opt = [("?p", "at", "?w")]
+
+        def _rows(ds, cols):
+            df = ds.to_pandas()[cols].fillna("~")
+            return sorted(map(tuple, df.to_numpy().tolist()))
+
+        # the inner groups are york (1) and the unbound ?w (2)
+        inner = bgp_aggregate(tr, pats, group_by=["w"],
+                              aggs=[("count", "*", "n")], optional=opt)
+        for cap in (1_000_000, 0):
+            out = bgp_subquery(tr, pats, inner, on=["w"], optional=opt,
+                               select=["p", "w", "n"],
+                               broadcast_rows=cap)
+            assert _rows(out, ["p", "w", "n"]) == [("alice", "york", 1)]
+
+        from rdf_extraction_ray.stages.graph import (_solution_join,
+                                                     _str_schema)
+        from rdf_extraction_ray.stages.joins import hash_join
+        left = bgp_match(tr, pats, optional=opt, select=["p", "w"])
+        right = rd.from_pandas(pd.DataFrame(
+            {"w": ["york", None], "k": ["Y", "N"]}))
+        want = {
+            "inner": [("alice", "york", "Y")],
+            "left": [("alice", "york", "Y"), ("bob", "~", "~"),
+                     ("cara", "~", "~")],
+            "anti": [("bob", "~"), ("cara", "~")]}
+        for how, rows_ in want.items():
+            cols = ["p", "w", "k"][:len(rows_[0])]
+            ref = hash_join(left, right, on=["w"], how=how,
+                            left_schema=_str_schema(["p", "w"]),
+                            right_schema=_str_schema(["w", "k"]))
+            assert _rows(ref, cols) == rows_, how
+            for cap in (1_000_000, 0):
+                got = _solution_join(
+                    left, right, ["w"], how, right_rows=2,
+                    broadcast_rows=cap, n_buckets=8,
+                    left_schema=_str_schema(["p", "w"]),
+                    right_schema=_str_schema(["w", "k"]))
+                assert _rows(got, cols) == rows_, (how, cap)
+
     def test_bfs_levels_min_hop_semantics_both_paths(self):
         import pandas as pd
         import ray.data as rd
@@ -1708,8 +1766,8 @@ class TestSparqlSolutionModifiers:
             "farmer|weaver"]
 
 
-class TestMinusPathEquality:
-    def test_fast_and_anti_paths_agree(self):
+class TestMinusNegationShapes:
+    def test_single_and_multi_pattern_negations(self):
         import pandas as pd
         import ray.data as rd
 
@@ -1723,21 +1781,11 @@ class TestMinusPathEquality:
         tr = rd.from_pandas(pd.DataFrame(
             rows, columns=["subj", "pred", "obj"])).repartition(3)
 
-        def _canon(ds):
-            return (ds.to_pandas()
-                    .sort_values(["ev", "p"], ignore_index=True))
-
-        kw = dict(select=["ev", "p"])
-        fast = _canon(bgp_minus(tr, [("?ev", "died", "?p")],
-                                [("?ev", "ts", "?t")], **kw))
-        anti = _canon(bgp_minus(tr, [("?ev", "died", "?p")],
-                                [("?ev", "ts", "?t")],
-                                _force_anti=True, **kw))
-        pd.testing.assert_frame_equal(fast, anti)
-        assert list(fast["ev"]) == ["ev3", "ev4"]
-        # multi-pattern negations always take the anti plan; a
-        # negation whose vars are ALL shared has no marker and must
-        # also fall through to anti
+        one = (bgp_minus(tr, [("?ev", "died", "?p")],
+                         [("?ev", "ts", "?t")], select=["ev", "p"])
+               .to_pandas().sort_values(["ev", "p"], ignore_index=True))
+        assert list(one["ev"]) == ["ev3", "ev4"]
+        # a multi-pattern negation, and one whose vars are ALL shared
         both = bgp_minus(tr, [("?ev", "died", "?p")],
                          [("?p", "dplace", "?dp"),
                           ("?dp", "nope", "?x")],

@@ -5,7 +5,14 @@ aggregation over a fact ⋈ fact join), Q14 (promo revenue share), Q18
 Each query is compared value-exactly against its own `oracle_sql()`
 entry via DuckDB at sf0.001 — the same comparison the driver gate and
 tools/check_oracles.py run at sf0.01.
+
+The KG queries whose SPARQL operators run a solution join (a
+three-pattern star BGP, MINUS, FILTER EXISTS and the subquery join)
+get the same comparison at sf0.01, because `oracle_sql()` binds
+``{triples}`` to the sf0.01 KG view.
 """
+
+import os
 
 import duckdb
 import pandas as pd
@@ -65,4 +72,15 @@ def test_matches_oracle_at_sf0001(name, min_rows):
     got = E.queries()[name](SF)
     want = _oracle(E.oracle_sql()[name])
     assert len(got) >= min_rows, (name, len(got))
+    pd.testing.assert_frame_equal(_canon(got), _canon(want))
+
+
+@pytest.mark.parametrize("name", ["kg_bgp_match", "kg_bgp_minus",
+                                  "kg_bgp_exists", "kg_bgp_subquery"])
+def test_kg_solution_joins_match_oracle_at_sf001(name):
+    import __ray_entry__ as E
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    got = E.queries()[name](sf).to_pandas()
+    want = duckdb.connect().execute(E.oracle_sql()[name]).df()
+    assert len(want), name
     pd.testing.assert_frame_equal(_canon(got), _canon(want))
