@@ -4786,27 +4786,26 @@ def _q_kg_path_closure(sf_dir: str):
     return path_closure(_triples_view(sf_dir), _KG_REL)
 
 
+_SPARQL_PREFIXES = """
+PREFIX crm: <http://www.cidoc-crm.org/cidoc-crm/>
+PREFIX kg: <http://kg.example.org/ontology#>
+PREFIX sem: <http://semanticweb.cs.vu.nl/2009/11/sem/>
+"""
+
+
 def _q_kg_bgp_subquery(sf_dir: str):
-    """SPARQL subquery: SELECT DISTINCT ?person ?place ?n_deaths
-    WHERE { ?ev crm:P100_was_death_of ?person . ?person
-    kg:hasDeathPlace ?place . { SELECT ?place (COUNT(*) AS ?n_deaths)
-    WHERE { ?ev2 crm:P100_was_death_of ?p2 . ?p2 kg:hasDeathPlace
-    ?place } GROUP BY ?place HAVING (COUNT(*) >= 40) } } — persons
-    who died in high-mortality places, annotated with the place's
-    death count. Bottom-up evaluation per SPARQL: the inner aggregate
-    (one row per surviving place) computes first and — being
-    aggregate-small — broadcasts into the outer binding stream
-    map-side; no exchange joins the two."""
-    from rdf_extraction_ray.stages.graph import bgp_aggregate, bgp_subquery
-    tr = _triples_view(sf_dir)
-    pats = [("?ev", _P100, "?person"),
-            ("?person", _BGP_PATTERNS[1][1], "?place")]
-    inner = bgp_aggregate(tr, pats, group_by=["place"],
-                          aggs=[("count", "*", "n_deaths")],
-                          having=[("n_deaths", ">=", 40)])
-    return bgp_subquery(tr, pats, inner, on=["place"],
-                        select=["person", "place", "n_deaths"],
-                        distinct=True)
+    """SPARQL subquery: persons who died in high-mortality places,
+    annotated with the place's death count. Bottom-up evaluation per
+    SPARQL: the inner aggregate (one row per surviving place)
+    computes first and — being aggregate-small — broadcasts into the
+    outer binding stream map-side; no exchange joins the two."""
+    from rdf_extraction_ray.stages.sparql import run_sparql
+    return run_sparql(_triples_view(sf_dir), _SPARQL_PREFIXES + """
+SELECT DISTINCT ?person ?place ?n_deaths WHERE {
+  ?ev crm:P100_was_death_of ?person . ?person kg:hasDeathPlace ?place .
+  { SELECT ?place (COUNT(*) AS ?n_deaths) WHERE {
+      ?ev2 crm:P100_was_death_of ?p2 . ?p2 kg:hasDeathPlace ?place }
+    GROUP BY ?place HAVING (COUNT(*) >= 40) } }""")
 
 
 def _q_kg_bfs_levels(sf_dir: str):
@@ -4850,34 +4849,29 @@ def _q_kg_bgp_filter(sf_dir: str):
 
 
 def _q_kg_bgp_union(sf_dir: str):
-    """SPARQL UNION with branch-local unbound padding: SELECT
-    DISTINCT ?person ?place WHERE { { ?person kg:hasBurialPlace
-    ?place } UNION { ?ev crm:P100_was_death_of ?person } } — the
-    second branch never binds ?place, so its solutions carry a typed
-    NULL there (SPARQL: the variable is simply unbound in that
-    branch). Branches match independently; DISTINCT costs one
-    combiner-first exchange over the concatenated stream."""
-    from rdf_extraction_ray.stages.graph import bgp_union
-    tr = _triples_view(sf_dir)
-    burial = "http://kg.example.org/ontology#hasBurialPlace"
-    return bgp_union(
-        tr,
-        [[("?person", burial, "?place")],
-         [("?ev", _P100, "?person")]],
-        select=["person", "place"])
+    """SPARQL UNION with branch-local unbound padding: the second
+    branch never binds ?place, so its solutions carry a typed NULL
+    there (SPARQL: the variable is simply unbound in that branch).
+    Branches match independently; DISTINCT costs one combiner-first
+    exchange over the concatenated stream."""
+    from rdf_extraction_ray.stages.sparql import run_sparql
+    return run_sparql(_triples_view(sf_dir), _SPARQL_PREFIXES + """
+SELECT DISTINCT ?person ?place WHERE {
+  { ?person kg:hasBurialPlace ?place }
+  UNION { ?ev crm:P100_was_death_of ?person } }""")
 
 
 def _q_kg_bgp_ask(sf_dir: str):
-    """SPARQL ASK: one row, one boolean — { ?ev P100 ?p . ?ev
-    sem:hasTimeStamp ?ts } exists (true on every corpus the
-    generator emits) and a gated variant whose FILTER can never
-    match (false) — both short-circuit via limit(1) on the streaming
-    plan, so a hit stops the scan early."""
-    from rdf_extraction_ray.stages.graph import bgp_ask
+    """SPARQL ASK: one row, one boolean — a dated death event exists
+    (true on every corpus the generator emits) and a gated variant
+    whose FILTER can never match (false) — both short-circuit via
+    limit(1) on the streaming plan, so a hit stops the scan early."""
+    from rdf_extraction_ray.stages.sparql import run_sparql
     tr = _triples_view(sf_dir)
-    yes = bgp_ask(tr, [("?ev", _P100, "?p"), ("?ev", _SEM_TS, "?ts")])
-    no = bgp_ask(tr, [("?ev", _SEM_TS, "?ts")],
-                 filters=[("?ts", "<", "0000")])
+    yes = run_sparql(tr, _SPARQL_PREFIXES + """
+ASK { ?ev crm:P100_was_death_of ?p . ?ev sem:hasTimeStamp ?ts }""")
+    no = run_sparql(tr, _SPARQL_PREFIXES + """
+ASK { ?ev sem:hasTimeStamp ?ts FILTER (?ts < "0000") }""")
     return pd.DataFrame({"q": ["dated_death_exists", "pre_epoch_event"],
                          "ask": [yes, no]})
 
@@ -5194,19 +5188,17 @@ def _q_kg_bgp_aggregate(sf_dir: str):
 
 
 def _q_kg_bgp_minus(sf_dir: str):
-    """SPARQL negation: SELECT DISTINCT ?ev ?person WHERE { ?ev
-    crm:P100_was_death_of ?person MINUS { ?ev sem:hasTimeStamp ?ts }
-    } — UNDATED death events (~7.5% of death events at sf0.01; the
-    shared variable ?ev is required-bound on both sides, the regime
-    where MINUS = FILTER NOT EXISTS = SQL NOT-EXISTS anti-join). One
-    anti solution join of the binding stream against the DISTINCT
-    negation keys, which are few enough to broadcast."""
-    from rdf_extraction_ray.stages.graph import bgp_minus
-    tr = _triples_view(sf_dir)
-    return bgp_minus(
-        tr, [("?ev", _P100, "?person")],
-        [("?ev", _SEM_TS, "?ts")],
-        select=["ev", "person"], distinct=True)
+    """SPARQL negation: UNDATED death events (~7.5% of death events
+    at sf0.01; the shared variable ?ev is required-bound on both
+    sides, the regime where MINUS = FILTER NOT EXISTS = SQL
+    NOT-EXISTS anti-join). One anti solution join of the binding
+    stream against the DISTINCT negation keys, which are few enough
+    to broadcast."""
+    from rdf_extraction_ray.stages.sparql import run_sparql
+    return run_sparql(_triples_view(sf_dir), _SPARQL_PREFIXES + """
+SELECT DISTINCT ?ev ?person WHERE {
+  ?ev crm:P100_was_death_of ?person
+  MINUS { ?ev sem:hasTimeStamp ?ts } }""")
 
 
 def _q_kg_bgp_topk(sf_dir: str):
@@ -5267,22 +5259,18 @@ def _q_kg_bgp_group_concat(sf_dir: str):
 
 
 def _q_kg_bgp_exists(sf_dir: str):
-    """SPARQL FILTER EXISTS (positive twin of MINUS): SELECT ?ev
-    ?person WHERE { ?ev crm:P100_was_death_of ?person . FILTER EXISTS
-    { ?person kg:hasPaidOccupation ?occ } } — death events of persons
-    with >= 1 paid occupation. SEMI-join multiplicity is the
+    """SPARQL FILTER EXISTS (positive twin of MINUS): death events of
+    persons with >= 1 paid occupation. SEMI-join multiplicity is the
     discriminating semantics: persons average ~8 occupations at
     sf0.01, so a plain join would fan each event out 8x, while EXISTS
     keeps each surviving event exactly once. One inner solution join
     of the binding stream against the DISTINCT witness keys
     (combiner-first), which are few enough to broadcast."""
-    from rdf_extraction_ray.stages.graph import bgp_exists
-    tr = _triples_view(sf_dir)
-    occ = "http://kg.example.org/ontology#hasPaidOccupation"
-    return bgp_exists(
-        tr, [("?ev", _P100, "?person")],
-        [("?person", occ, "?occ")],
-        select=["ev", "person"])
+    from rdf_extraction_ray.stages.sparql import run_sparql
+    return run_sparql(_triples_view(sf_dir), _SPARQL_PREFIXES + """
+SELECT ?ev ?person WHERE {
+  ?ev crm:P100_was_death_of ?person .
+  FILTER EXISTS { ?person kg:hasPaidOccupation ?occ } }""")
 
 
 def _q_kg_bgp_bind(sf_dir: str):

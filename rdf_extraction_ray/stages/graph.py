@@ -37,11 +37,13 @@ chosen for integer exactness):
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from .dedup import bucket_exchange
 
@@ -2022,8 +2024,7 @@ def bgp_match(triples: rd.Dataset,
               limit: int | None = None,
               binds: list[tuple[tuple, str]] | None = None,
               n_buckets: int = 64,
-              broadcast_rows: int = _BROADCAST_ROWS,
-              typed_seed: bool = True) -> rd.Dataset:
+              broadcast_rows: int = _BROADCAST_ROWS) -> rd.Dataset:
     """General SPARQL basic-graph-pattern match over the triple set.
 
     Each pattern is ``(s, p, o)`` — or ``(s, p, o, g)`` for a
@@ -2133,10 +2134,11 @@ def bgp_match(triples: rd.Dataset,
     empties the result.
 
     The output leads with a typed zero-row block, so that zero
-    bindings still carry the schema. ``typed_seed=False`` leaves it
-    out, for callers that map the bindings further: Ray maps a
-    zero-row block to a schema-less one, which then changes the
-    block schema mid-stream.
+    bindings still carry the schema.
+
+    It is the pattern leaf (:func:`_bgp_leaf`) under the solution
+    modifiers (:func:`_modifiers`), the two steps every SPARQL query
+    form evaluates (:mod:`~rdf_extraction_ray.stages.sparql`).
 
     The reference answers such queries by loading the whole corpus
     into one in-RAM rdflib graph and walking it pattern by pattern
@@ -2144,6 +2146,46 @@ def bgp_match(triples: rd.Dataset,
     is the queried artifact); here the graph never exists in one
     place — bindings stream through partitioned exchanges.
     """
+    if select is None:
+        select = _leaf_vars(patterns, optional, binds)
+    acc = _bgp_leaf(triples, patterns, select, optional=optional,
+                    filters=filters, values=values, binds=binds,
+                    n_buckets=n_buckets, broadcast_rows=broadcast_rows)
+    return _modifiers(acc, _str_schema(select), distinct=distinct,
+                      order_by=order_by, limit=limit, n_buckets=n_buckets)
+
+
+def _leaf_vars(patterns, optional=None, binds=None) -> list[str]:
+    """Every variable a pattern leaf binds, in first-appearance order:
+    the pattern variables, then the BIND outputs."""
+    return _pattern_vars(list(patterns) + list(optional or [])) + [
+        out[1:] if _is_var(out) else out for _, out in binds or []]
+
+
+def _filter_mask(df: pd.DataFrame, filters) -> np.ndarray:
+    """The rows of ``df`` that pass every FILTER ``(lhs, op, rhs)``; a
+    comparison touching an unbound (NULL) side drops the row."""
+    m = pd.Series(True, index=df.index)
+    for lhs, op, rhs in filters:
+        a = (df[lhs[1:]] if _is_var(lhs)
+             else pd.Series(lhs, index=df.index))
+        if _is_var(rhs):
+            b = df[rhs[1:]]
+            mask = _FILTER_OPS[op](a, b) & a.notna() & b.notna()
+        else:
+            mask = _FILTER_OPS[op](a, rhs) & a.notna()
+        m &= mask.astype(bool)
+    return m.to_numpy()
+
+
+def _bgp_leaf(triples: rd.Dataset, patterns, select: list[str],
+              optional=None, filters=None, values=None, binds=None,
+              n_buckets: int = 64,
+              broadcast_rows: int = _BROADCAST_ROWS) -> rd.Dataset:
+    """The solutions of one group's patterns, OPTIONAL, FILTER, VALUES
+    and BIND (see :func:`bgp_match`), projected to ``select``, with no
+    solution modifier and no typed seed: callers map them further, and
+    Ray maps a zero-row block to a schema-less one."""
     n_req = len(patterns)
 
     def _norm(p) -> tuple:
@@ -2187,12 +2229,7 @@ def bgp_match(triples: rd.Dataset,
     need_pred = any(base is None for alts in alt_of
                     for base, _ in alts)
     need_graph = any(gt is not None for (_, _, _, gt) in parsed)
-    all_vars: list[str] = []
-    for s, p, o, gt in parsed:
-        pterm = p if isinstance(p, str) and _is_var(p) else None
-        for t in (s, pterm, o, gt):
-            if t is not None and _is_var(t) and t[1:] not in all_vars:
-                all_vars.append(t[1:])
+    all_vars = _pattern_vars(parsed)
 
     def _pvars(i: int) -> list[str]:
         """Pattern i's variables in slot order (s, p, o, graph)."""
@@ -2218,8 +2255,6 @@ def bgp_match(triples: rd.Dataset,
     bind_needed = {v for e, _ in bind_list
                    for v in _bind_expr_vars(e) if v in all_vars}
     bindable = all_vars + bind_outs
-    if select is None:
-        select = list(bindable)
     bad = [v for v in select if v not in bindable]
     if bad:
         raise ValueError(f"selected vars bound by no pattern: {bad}")
@@ -2266,21 +2301,12 @@ def bgp_match(triples: rd.Dataset,
             raise ValueError("UNDEF (None) in VALUES is not supported")
         pending_vals.append((vvars, vtab.astype(str)))
 
-    if order_by:
-        if limit is not None and limit <= 0:
-            raise ValueError("limit must be positive")
-        for v, d in order_by:
-            name = v[1:] if _is_var(v) else v
-            if name not in select:
-                raise ValueError(
-                    f"order_by var ?{name} is not selected")
-            if d not in ("asc", "desc"):
-                raise ValueError(f"order direction {d!r} not in "
-                                 "('asc', 'desc')")
-
     def _apply_filters(acc: rd.Dataset, acc_vars: list[str]) -> rd.Dataset:
         """Push down every pending filter / VALUES clause whose vars
-        are all bound."""
+        are all bound. VALUES is an inner solution join against its
+        (deduplicated) inline rows."""
+        from .joins import merge_sides
+
         ready = [f for f in pending if set(_fvars(f)) <= set(acc_vars)]
         for f in ready:
             pending.remove(f)
@@ -2289,29 +2315,16 @@ def bgp_match(triples: rd.Dataset,
         for x in ready_v:
             pending_vals.remove(x)
         if ready:
-            def _filt(df: pd.DataFrame) -> pd.DataFrame:
-                m = pd.Series(True, index=df.index)
-                for lhs, op, rhs in ready:
-                    a = (df[lhs[1:]] if _is_var(lhs)
-                         else pd.Series(lhs, index=df.index))
-                    if _is_var(rhs):
-                        b = df[rhs[1:]]
-                        mask = _FILTER_OPS[op](a, b) \
-                            & a.notna() & b.notna()
-                    else:
-                        mask = _FILTER_OPS[op](a, rhs) & a.notna()
-                    m &= mask.astype(bool)
-                return df[m.to_numpy()].reset_index(drop=True)
-
-            acc = acc.map_batches(_filt, batch_format="pandas")
+            acc = acc.map_batches(
+                lambda df: df[_filter_mask(df, ready)].reset_index(
+                    drop=True),
+                batch_format="pandas")
+        schema = _str_schema(acc_vars)
         for vvars, vtab in ready_v:
-            def _vals(df: pd.DataFrame, vvars=vvars,
-                      vtab=vtab) -> pd.DataFrame:
-                cols = list(df.columns)
-                return (df.merge(vtab, on=vvars, how="inner")[cols]
-                        .reset_index(drop=True))
-
-            acc = acc.map_batches(_vals, batch_format="pandas")
+            acc = acc.map_batches(
+                lambda df, vvars=vvars, vtab=vtab: merge_sides(
+                    df, vtab, vvars, "inner", schema),
+                batch_format="pandas")
         return acc
 
     # ONE shared scan: a row matching pattern i's constants emits one
@@ -2434,8 +2447,6 @@ def bgp_match(triples: rd.Dataset,
 
         return tagged.map_batches(_proj, batch_format="pandas")
 
-    out_schema = _str_schema(select)
-
     def _join_rel(acc: rd.Dataset, acc_vars: list[str], j: int,
                   shared: list[str], how: str) -> rd.Dataset:
         """One join step: acc ⋈ _rel(j) on ``shared``."""
@@ -2451,7 +2462,7 @@ def bgp_match(triples: rd.Dataset,
                 {"n": [int((df["pi"].to_numpy() == i).sum())]}),
             batch_format="pandas").sum("n")
         if not n:
-            return rd.from_arrow(out_schema.empty_table())
+            return rd.from_arrow(_str_schema(select).empty_table())
 
     opt_idx = list(range(n_req, len(parsed)))
     if any(not _pvars(j) for j in opt_idx):
@@ -2554,18 +2565,8 @@ def bgp_match(triples: rd.Dataset,
             for expr, name in bind_list:
                 df[name] = _eval_bind(df, expr)
             if post_filters:
-                m = pd.Series(True, index=df.index)
-                for lhs, op, rhs in post_filters:
-                    a = (df[lhs[1:]] if _is_var(lhs)
-                         else pd.Series(lhs, index=df.index))
-                    if _is_var(rhs):
-                        b = df[rhs[1:]]
-                        mask = _FILTER_OPS[op](a, b) \
-                            & a.notna() & b.notna()
-                    else:
-                        mask = _FILTER_OPS[op](a, rhs) & a.notna()
-                    m &= mask.astype(bool)
-                df = df[m.to_numpy()].reset_index(drop=True)
+                df = df[_filter_mask(df, post_filters)].reset_index(
+                    drop=True)
             return df
 
         acc = acc.map_batches(_bind, batch_format="pandas")
@@ -2573,7 +2574,46 @@ def bgp_match(triples: rd.Dataset,
 
     if list(acc_vars) != list(select):
         acc = acc.select_columns(select)
+    return acc
 
+
+def _seeded(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
+    """``ds`` led by a typed zero-row block, so that zero solutions
+    still carry the schema. A materialized Dataset (a driver-built
+    result) already carries it and is returned as it is."""
+    if isinstance(ds, MaterializedDataset):
+        return ds
+    return rd.from_arrow(schema.empty_table()).union(ds)
+
+
+def _modifiers(acc: rd.Dataset, out_schema: pa.Schema,
+               distinct: bool = False,
+               order_by: list[tuple[str, str]] | None = None,
+               limit: int | None = None, offset: int | None = None,
+               n_buckets: int = 64) -> rd.Dataset:
+    """The SPARQL solution modifiers over projected solutions whose
+    columns are ``out_schema``: DISTINCT, ORDER BY (+ LIMIT: the
+    combiner top-k of :func:`bgp_match`), LIMIT alone, then the
+    OFFSET page; the result leads with a typed zero-row block.
+
+    OFFSET needs ORDER BY and LIMIT (an unordered OFFSET is
+    nondeterministic): the top ``offset + limit`` rows are fetched and
+    the first ``offset`` dropped, so the driver holds one result page,
+    never the solution sequence."""
+    if offset and (not order_by or limit is None):
+        raise NotImplementedError("OFFSET requires ORDER BY and LIMIT")
+    select = out_schema.names
+    if order_by:
+        if limit is not None and limit <= 0:
+            raise ValueError("limit must be positive")
+        for v, d in order_by:
+            name = v[1:] if _is_var(v) else v
+            if name not in select:
+                raise ValueError(
+                    f"order_by var ?{name} is not selected")
+            if d not in ("asc", "desc"):
+                raise ValueError(f"order direction {d!r} not in "
+                                 "('asc', 'desc')")
     if distinct:
         acc = distinct_rows(acc, out_schema, n_buckets)
 
@@ -2583,7 +2623,7 @@ def bgp_match(triples: rd.Dataset,
         tie = [v for v in select if v not in keys]
         sort_cols, sort_asc = keys + tie, asc + [True] * len(tie)
         if limit is not None:
-            k = int(limit)
+            k = int(limit) + (offset or 0)
 
             def _topk(df: pd.DataFrame) -> pa.Table:
                 top = (df.sort_values(sort_cols, ascending=sort_asc,
@@ -2605,10 +2645,12 @@ def bgp_match(triples: rd.Dataset,
     elif limit is not None:
         acc = acc.limit(int(limit))
 
-    if not typed_seed:
-        return acc
-    # typed empty seed: zero bindings must still carry the schema
-    return rd.from_arrow(out_schema.empty_table()).union(acc)
+    if offset:
+        page = _seeded(acc, out_schema).to_pandas().iloc[offset:]
+        return rd.from_arrow(pa.Table.from_pandas(
+            page, schema=out_schema,
+            preserve_index=False).replace_schema_metadata(None))
+    return _seeded(acc, out_schema)
 
 
 def distinct_rows(ds: rd.Dataset, out_schema,
@@ -2668,27 +2710,46 @@ def bgp_construct(triples: rd.Dataset,
     into the uber-graph (cwrc/RDF-extraction
     Biography/bio_extraction.py:62-78).
     """
-    import pyarrow as pa
+    return _construct(_leaf_of(triples, patterns, n_buckets,
+                               optional=optional),
+                      template, n_buckets)
 
+
+def _leaf_of(triples: rd.Dataset, patterns, n_buckets: int, **clauses):
+    """``need -> solutions``: the pattern leaf of one group (its
+    ``optional`` / ``filters`` / ``binds`` clauses), projected to the
+    variables a query form's body asks for."""
+    return lambda need: _bgp_leaf(triples, patterns, need,
+                                  n_buckets=n_buckets, **clauses)
+
+
+def _template_vars(template, empty_msg: str) -> list[str]:
     tvars = sorted({t[1:] for tri in template for t in tri
                     if _is_var(t)})
     if not tvars:
-        raise ValueError("template binds no variables")
-    bindings = bgp_match(triples, patterns, select=tvars,
-                         optional=optional, n_buckets=n_buckets)
-    out_schema = pa.schema([("subj", pa.string()),
-                            ("pred", pa.string()),
+        raise ValueError(empty_msg)
+    return tvars
+
+
+_TRIPLE_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
                             ("obj", pa.string())])
+
+
+def _construct(solutions, template, n_buckets: int) -> rd.Dataset:
+    """CONSTRUCT's body over the solutions ``solutions(vars)``: the
+    template instantiated once per solution, set-deduplicated."""
+    bindings = solutions(_template_vars(template,
+                                        "template binds no variables"))
 
     def _instantiate(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(
             _instantiate_templates(t.to_pandas(), template),
-            schema=out_schema,
+            schema=_TRIPLE_SCHEMA,
             preserve_index=False).replace_schema_metadata(None)
 
     made = bindings.map_batches(_instantiate, batch_format="pyarrow")
-    return rd.from_arrow(out_schema.empty_table()).union(
-        distinct_rows(made, out_schema, n_buckets))
+    return _seeded(distinct_rows(made, _TRIPLE_SCHEMA, n_buckets),
+                   _TRIPLE_SCHEMA)
 
 
 def _instantiate_templates(df: pd.DataFrame,
@@ -2744,25 +2805,26 @@ def sparql_update(triples: rd.Dataset,
     Per-batch ``drop_duplicates`` combiners bound the exchange, and
     nothing materializes on the driver.
     """
-    import pyarrow as pa
+    return _update(triples, _leaf_of(triples, patterns, n_buckets,
+                                     optional=optional),
+                   delete, insert, n_buckets)
 
+
+def _update(triples: rd.Dataset, solutions, delete, insert,
+            n_buckets: int) -> rd.Dataset:
+    """The DELETE/INSERT body over the WHERE solutions
+    ``solutions(vars)`` (see :func:`sparql_update`)."""
     delete = list(delete or ())
     insert = list(insert or ())
     if not delete and not insert:
         raise ValueError("update needs a delete or insert template")
-    tvars = sorted({t[1:] for tri in delete + insert for t in tri
-                    if _is_var(t)})
-    if not tvars:
-        raise ValueError(
-            "templates bind no variables — ground INSERT/DELETE DATA "
-            "is a plain union / anti-join, not an update pattern")
-    # no typed seed: _deltas below would map it to a schema-less block
-    bindings = bgp_match(triples, patterns, select=tvars,
-                         optional=optional, n_buckets=n_buckets,
-                         typed_seed=False)
+    bindings = solutions(_template_vars(
+        delete + insert,
+        "templates bind no variables — ground INSERT/DELETE DATA "
+        "is a plain union / anti-join, not an update pattern"))
 
     cols = ["subj", "pred", "obj"]
-    out_schema = pa.schema([(c, pa.string()) for c in cols])
+    out_schema = _TRIPLE_SCHEMA
     tag_schema = pa.schema(list(out_schema)
                            + [("__tag", pa.int8()),
                               ("__bucket", pa.int64())])
@@ -2812,9 +2874,42 @@ def sparql_update(triples: rd.Dataset,
             out, schema=out_schema,
             preserve_index=False).replace_schema_metadata(None)
 
-    return rd.from_arrow(out_schema.empty_table()).union(
-        bucket_exchange(tagged, _resolve, key="__bucket",
-                        batch_format="pyarrow"))
+    return _seeded(bucket_exchange(tagged, _resolve, key="__bucket",
+                                   batch_format="pyarrow"), out_schema)
+
+
+def _pred_edges(triples: rd.Dataset, pred: str, n_buckets: int,
+                broadcast_cap: int):
+    """The distinct (src, dst) edges of ``pred`` (materialized), with
+    what a closure walks them by: a driver-side adjacency dict when
+    there are at most ``broadcast_cap`` edges, else the (node, nxt)
+    relation a frontier joins per round. ``(None, None, None)`` when
+    ``pred`` has no edge."""
+    edge_schema = pa.schema([("src", pa.string()),
+                             ("dst", pa.string())])
+
+    def _edges(df: pd.DataFrame) -> pd.DataFrame:
+        m = df["pred"].to_numpy() == pred
+        return pd.DataFrame({"src": df["subj"].to_numpy()[m].astype(str),
+                             "dst": df["obj"].to_numpy()[m].astype(str)})
+
+    edges = distinct_rows(
+        triples.map_batches(_edges, batch_format="pandas"),
+        edge_schema, n_buckets).materialize()
+    n_edges = edges.count()
+    if n_edges == 0:
+        return None, None, None
+    if n_edges <= broadcast_cap:
+        ed = edges.to_pandas()
+        nxt: dict[str, list[str]] = {}
+        for s, d in zip(ed["src"].to_numpy(), ed["dst"].to_numpy()):
+            nxt.setdefault(s, []).append(d)
+        return edges, nxt, None
+    erel = edges.map_batches(
+        lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
+                                 "nxt": df["dst"].to_numpy()}),
+        batch_format="pandas").materialize()
+    return edges, None, erel
 
 
 def path_closure(triples: rd.Dataset, pred: str,
@@ -2858,27 +2953,12 @@ def path_closure(triples: rd.Dataset, pred: str,
 
     pair_schema = pa.schema([("start", pa.string()),
                              ("node", pa.string())])
-    edge_schema = pa.schema([("src", pa.string()),
-                             ("dst", pa.string())])
 
-    def _edges(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["pred"].to_numpy() == pred
-        return pd.DataFrame({"src": df["subj"].to_numpy()[m].astype(str),
-                             "dst": df["obj"].to_numpy()[m].astype(str)})
-
-    edges = distinct_rows(
-        triples.map_batches(_edges, batch_format="pandas"),
-        edge_schema, n_buckets).materialize()
-
-    n_edges = edges.count()
-    if n_edges == 0:  # no pred edges at all -> typed empty closure
+    edges, nxt, erel = _pred_edges(triples, pred, n_buckets, broadcast_cap)
+    if edges is None:  # no pred edges at all -> typed empty closure
         return rd.from_arrow(pair_schema.empty_table())
-    if n_edges <= broadcast_cap:
+    if nxt is not None:
         # driver BFS over the (bounded) edge list
-        ed = edges.to_pandas()
-        nxt: dict[str, list[str]] = {}
-        for s, d in zip(ed["src"].to_numpy(), ed["dst"].to_numpy()):
-            nxt.setdefault(s, []).append(d)
         origins = (sorted(set(starts) & nxt.keys())
                    if starts is not None else sorted(nxt.keys()))
         rows_s: list[str] = []
@@ -2909,10 +2989,6 @@ def path_closure(triples: rd.Dataset, pred: str,
             return pa.table([df["src"].to_numpy(), df["dst"].to_numpy()],
                             schema=pair_schema)
 
-    erel = edges.map_batches(
-        lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
-                                 "nxt": df["dst"].to_numpy()}),
-        batch_format="pandas").materialize()
     visited = edges.map_batches(_seed,
                                 batch_format="pandas").materialize()
     frontier = visited
@@ -3009,17 +3085,6 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
 
     out_schema = pa.schema([("node", pa.string()),
                             ("level", pa.int64())])
-    edge_schema = pa.schema([("src", pa.string()),
-                             ("dst", pa.string())])
-
-    def _edges(df: pd.DataFrame) -> pd.DataFrame:
-        m = df["pred"].to_numpy() == pred
-        return pd.DataFrame({"src": df["subj"].to_numpy()[m].astype(str),
-                             "dst": df["obj"].to_numpy()[m].astype(str)})
-
-    edges = distinct_rows(
-        triples.map_batches(_edges, batch_format="pandas"),
-        edge_schema, n_buckets).materialize()
     seeds = sorted(set(starts))
 
     def _seed_table() -> pa.Table:
@@ -3027,14 +3092,10 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
                          "level": pa.array([0] * len(seeds),
                                            type=pa.int64())})
 
-    n_edges = edges.count()
-    if n_edges == 0 or not seeds:
+    edges, nxt, erel = _pred_edges(triples, pred, n_buckets, broadcast_cap)
+    if edges is None or not seeds:
         return rd.from_arrow(_seed_table())
-    if n_edges <= broadcast_cap:
-        ed = edges.to_pandas()
-        nxt: dict[str, list[str]] = {}
-        for s, d in zip(ed["src"].to_numpy(), ed["dst"].to_numpy()):
-            nxt.setdefault(s, []).append(d)
+    if nxt is not None:
         level: dict[str, int] = {s: 0 for s in seeds}
         frontier = list(seeds)
         lv = 0
@@ -3053,10 +3114,6 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
              "level": pa.array([v for _, v in items], type=pa.int64())}))
 
     # distributed frontier rounds
-    erel = edges.map_batches(
-        lambda df: pd.DataFrame({"node": df["src"].to_numpy(),
-                                 "nxt": df["dst"].to_numpy()}),
-        batch_format="pandas").materialize()
     visited = rd.from_arrow(_seed_table()).materialize()
     frontier = visited
     B = np.int64(n_buckets)
@@ -3112,120 +3169,6 @@ def bfs_levels(triples: rd.Dataset, pred: str, starts: list[str],
         "from the seed set)")
 
 
-def bgp_subquery(triples: rd.Dataset,
-                 patterns: list[tuple[str, str, str]],
-                 sub: rd.Dataset,
-                 on: list[str],
-                 select: list[str] | None = None,
-                 distinct: bool = False,
-                 optional: list[tuple[str, str, str]] | None = None,
-                 filters: list[tuple[str, str, str]] | None = None,
-                 n_buckets: int = 64,
-                 broadcast_rows: int = _BROADCAST_ROWS) -> rd.Dataset:
-    """SPARQL subquery: ``SELECT ... WHERE { <patterns> { SELECT ...
-    } }`` — the inner SELECT's solution sequence (``sub``, typically
-    a :func:`bgp_aggregate` result) joins the outer BGP's solutions
-    on the shared variables ``on``, per SPARQL's bottom-up subquery
-    evaluation. The inner sequence's non-key columns (aggregate
-    aliases) extend the outer bindings. A NULL key (an OPTIONAL
-    variable left unbound, on either side) never matches.
-
-    Scale shape: the outer plan is a full :func:`bgp_match`; the
-    inner sequence is usually AGGREGATE-SMALL (one row per group), so
-    at or under ``broadcast_rows`` the solution join
-    (:func:`_solution_join`) broadcasts it into every outer batch —
-    no exchange; above the cap it takes the partitioned hash join.
-    ``select`` defaults to the outer variables plus every inner
-    column.
-    """
-    from .joins import _arrow_schema, _join_schema
-
-    outer_vars = _pattern_vars(list(patterns) + list(optional or []))
-    sub = sub.materialize()  # count + collect must not re-execute
-    if sub.schema() is None:
-        raise ValueError("subquery result has no schema")
-    sub_schema = _arrow_schema(sub)
-    sub_cols = list(sub_schema.names)
-    bad = [v for v in on if v not in outer_vars or v not in sub_cols]
-    if bad:
-        raise ValueError(
-            f"join vars must be bound on both sides: {bad}")
-    if select is None:
-        select = list(dict.fromkeys(
-            outer_vars + [c for c in sub_cols if c not in on]))
-    outer_sel = list(dict.fromkeys(
-        [v for v in select if v in outer_vars] + list(on)))
-    outer = bgp_match(triples, patterns, select=outer_sel,
-                      optional=optional, filters=filters,
-                      n_buckets=n_buckets,
-                      broadcast_rows=broadcast_rows)
-    joined = _solution_join(outer, sub, list(on), "inner", sub.count(),
-                            broadcast_rows, n_buckets,
-                            _str_schema(outer_sel), sub_schema)
-    js = _join_schema(_str_schema(outer_sel), sub_schema, list(on), "_r")
-    out_schema = pa.schema([js.field(c) for c in select])
-    if js.names != list(select):
-        joined = joined.select_columns(list(select))
-    if distinct:
-        joined = distinct_rows(joined, out_schema, n_buckets)
-    return rd.from_arrow(out_schema.empty_table()).union(joined)
-
-
-def bgp_union(triples: rd.Dataset,
-              groups: list, select: list[str],
-              distinct: bool = True,
-              n_buckets: int = 64) -> rd.Dataset:
-    """SPARQL UNION of basic graph patterns: each group is a pattern
-    list (or a ``(patterns, optional)`` tuple) matched independently
-    with :func:`bgp_match`; solution sequences concatenate. A branch
-    that does not bind some ``select`` variable pads it with typed
-    NULL (SPARQL: the variable is unbound in that branch's
-    solutions). ``distinct=True`` applies the DISTINCT modifier with
-    one combiner-first row-hash exchange over the concatenated
-    stream; the branches themselves never exchange against each
-    other."""
-    out_schema = _str_schema(select)
-    parts = []
-    for g in groups:
-        pats, opt = g if isinstance(g, tuple) else (g, None)
-        bound = _pattern_vars(list(pats) + list(opt or []))
-        sel = [v for v in select if v in bound]
-        if not sel:
-            raise ValueError("a UNION branch binds no selected var")
-        part = bgp_match(triples, pats, select=sel, optional=opt,
-                         n_buckets=n_buckets)
-        missing = [v for v in select if v not in bound]
-
-        def _pad(t, missing=missing, sel=sel):
-            cols = {v: t.column(v) for v in sel}
-            n = t.num_rows
-            for v in missing:
-                cols[v] = pa.nulls(n, pa.string())
-            return pa.table(
-                {v: cols[v] for v in select}, schema=out_schema)
-
-        parts.append(part.map_batches(_pad, batch_format="pyarrow"))
-    acc = parts[0] if len(parts) == 1 else parts[0].union(*parts[1:])
-    if distinct:
-        acc = distinct_rows(acc, out_schema, n_buckets)
-    return rd.from_arrow(out_schema.empty_table()).union(acc)
-
-
-def bgp_ask(triples: rd.Dataset,
-            patterns: list[tuple[str, str, str]],
-            optional: list[tuple[str, str, str]] | None = None,
-            filters: list[tuple[str, str, str]] | None = None,
-            n_buckets: int = 64) -> bool:
-    """SPARQL ASK: does at least one solution of the graph pattern
-    exist? Runs the :func:`bgp_match` plan with ``limit(1)`` so the
-    streaming executor stops pulling blocks as soon as one binding
-    materializes — the closest Ray Data gets to EXISTS
-    short-circuiting."""
-    m = bgp_match(triples, patterns, optional=optional,
-                  filters=filters, n_buckets=n_buckets)
-    return m.limit(1).count() > 0
-
-
 def describe_subjects(triples: rd.Dataset,
                       patterns: list[tuple[str, str, str]],
                       var: str,
@@ -3240,106 +3183,24 @@ def describe_subjects(triples: rd.Dataset,
     scan — DESCRIBE sets are query results, small by construction;
     ``broadcast_cap`` guards the assumption and fails loudly rather
     than ship an unbounded set to every task."""
+    return _describe(triples, _leaf_of(triples, patterns, n_buckets,
+                                       optional=optional),
+                     var, n_buckets, broadcast_cap)
+
+
+def _describe(triples: rd.Dataset, solutions, var: str, n_buckets: int,
+              broadcast_cap: int = 5_000_000) -> rd.Dataset:
+    """DESCRIBE's body over the solutions ``solutions(vars)`` (see
+    :func:`describe_subjects`)."""
     from .joins import distinct_values, semi_join_filter
 
     v = var[1:] if var.startswith("?") else var
-    bindings = bgp_match(triples, patterns, select=[v],
-                         optional=optional, n_buckets=n_buckets)
-    vals = distinct_values(bindings, v, n_buckets=n_buckets)
+    vals = distinct_values(solutions([v]), v, n_buckets=n_buckets)
     if len(vals) > broadcast_cap:
         raise ValueError(
             f"DESCRIBE set ({len(vals)} subjects) exceeds the "
             f"{broadcast_cap} broadcast cap; narrow the pattern")
     return semi_join_filter(triples, vals.to_numpy(), "subj")
-
-
-def _probe_join(triples, patterns, probe, how: str, clause: str,
-                select, distinct, optional, filters,
-                n_buckets: int) -> rd.Dataset:
-    """The body of MINUS (``how="anti"``) and FILTER EXISTS
-    (``how="inner"`` on DISTINCT keys: a semi-join, which keeps each
-    surviving main solution's multiplicity).
-
-    Both sides are independent :func:`bgp_match` plans off the shared
-    predicate-filtered scan. The ``probe`` side reduces to its
-    DISTINCT shared-variable projection (combiner-first), and the
-    main bindings meet those keys in one solution join
-    (:func:`_solution_join`): a key set at or under the broadcast cap
-    is collected once and broadcast into every main batch, a larger
-    one takes one partitioned hash exchange carrying |main bindings| +
-    |distinct keys| rows, never a cross product.
-
-    Restriction (checked): the probe patterns must share at least one
-    variable with the REQUIRED main patterns, and only required-bound
-    variables take part in the join, so the shared bindings are never
-    NULL: the regime where SPARQL MINUS, FILTER NOT EXISTS and FILTER
-    EXISTS coincide with the SQL ``NOT EXISTS`` / ``EXISTS`` equality
-    joins the oracles replay."""
-    req_vars = _pattern_vars(patterns)
-    probe_vars = set(_pattern_vars(probe))
-    shared = [v for v in req_vars if v in probe_vars]
-    if not shared:
-        raise ValueError(
-            f"{clause} patterns share no variable with the required "
-            "main patterns")
-    if select is None:
-        select = list(dict.fromkeys(
-            req_vars + _pattern_vars(optional or [])))
-    out_schema = _str_schema(select)
-    main_sel = list(dict.fromkeys(list(select) + shared))
-    main = bgp_match(triples, patterns, select=main_sel,
-                     optional=optional, filters=filters,
-                     n_buckets=n_buckets)
-    keys = bgp_match(triples, probe, select=shared, distinct=True,
-                     n_buckets=n_buckets).materialize()
-    kept = _solution_join(main, keys, shared, how, keys.count(),
-                          _BROADCAST_ROWS, n_buckets,
-                          _str_schema(main_sel), _str_schema(shared))
-    if list(select) != main_sel:
-        kept = kept.select_columns(list(select))
-    if distinct:
-        kept = distinct_rows(kept, out_schema, n_buckets)
-    return rd.from_arrow(out_schema.empty_table()).union(kept)
-
-
-def bgp_minus(triples: rd.Dataset,
-              patterns: list[tuple[str, str, str]],
-              minus: list[tuple[str, str, str]],
-              select: list[str] | None = None,
-              distinct: bool = False,
-              optional: list[tuple[str, str, str]] | None = None,
-              filters: list[tuple[str, str, str]] | None = None,
-              n_buckets: int = 64) -> rd.Dataset:
-    """SPARQL negation: ``patterns MINUS { minus }`` (equivalently
-    ``FILTER NOT EXISTS`` under :func:`_probe_join`'s restriction) —
-    solutions of the main graph pattern are removed when the negation
-    pattern has a solution agreeing on every shared variable: an ANTI
-    solution join against the negation's distinct keys. The reference
-    answers such queries by set-difference walks over the in-RAM
-    uber-graph (cwrc/RDF-extraction Utils/utilities.py:552-556)."""
-    return _probe_join(triples, patterns, minus, "anti", "MINUS",
-                       select, distinct, optional, filters, n_buckets)
-
-
-def bgp_exists(triples: rd.Dataset,
-               patterns: list[tuple[str, str, str]],
-               exists: list[tuple[str, str, str]],
-               select: list[str] | None = None,
-               distinct: bool = False,
-               optional: list[tuple[str, str, str]] | None = None,
-               filters: list[tuple[str, str, str]] | None = None,
-               n_buckets: int = 64) -> rd.Dataset:
-    """SPARQL ``FILTER EXISTS { exists }`` — the positive twin of
-    :func:`bgp_minus`: a solution of the main pattern survives iff
-    the EXISTS pattern has a solution agreeing on every shared
-    variable. Surviving solutions keep their exact multiplicity (a
-    semi-join, NOT a join: however many EXISTS witnesses a solution
-    has, it appears once), because the join runs against the DISTINCT
-    witness keys. The reference answers such queries by membership
-    walks over the in-RAM uber-graph (cwrc/RDF-extraction
-    Utils/utilities.py:552-556)."""
-    return _probe_join(triples, patterns, exists, "inner", "EXISTS",
-                       select, distinct, optional, filters, n_buckets)
 
 
 _BGP_AGG_FNS = ("count", "count_distinct", "min", "max",
@@ -3426,8 +3287,35 @@ def bgp_aggregate(triples: rd.Dataset,
     The reference computes such reports by Counter walks over the
     in-RAM graph (cwrc/RDF-extraction Utils/utilities.py:552-556).
     """
-    import pyarrow as pa
+    agg, schema = _group(
+        _leaf_of(triples, patterns, n_buckets, optional=optional,
+                 filters=filters, binds=binds),
+        _pattern_vars(patterns)[:1], group_by, aggs, having, n_buckets)
+    return _seeded(agg, schema)
 
+
+_HAVING_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _having_mask(df: pd.DataFrame, having) -> np.ndarray:
+    """The aggregate rows that pass every HAVING ``(alias, op, value)``;
+    an unbound (NULL) aggregate fails the comparison."""
+    m = pd.Series(True, index=df.index)
+    for alias, op, val in having:
+        col = df[alias]
+        m &= _HAVING_OPS[op](col, val) & col.notna()
+    return m.to_numpy(dtype=bool)
+
+
+def _group(solutions, fallback: list[str], group_by: list[str],
+           aggs: list[tuple[str, str, str]], having, n_buckets: int
+           ) -> tuple[rd.Dataset, pa.Schema]:
+    """GROUP BY + aggregates + HAVING over the solutions
+    ``solutions(vars)`` (see :func:`bgp_aggregate`): the aggregated
+    Dataset, without a typed seed, and its schema. ``fallback`` is the
+    variable a global ``COUNT(*)`` carries when no aggregate names
+    one."""
     global_agg = not group_by
     if global_agg:
         # SPARQL allows aggregates with no GROUP BY: the whole
@@ -3452,12 +3340,16 @@ def bgp_aggregate(triples: rd.Dataset,
     if not needed:
         # global COUNT(*) with no var aggregates: carry one pattern
         # variable so the solution stream keeps a row shape
-        needed = _pattern_vars(patterns)[:1]
+        needed = list(fallback)
         if not needed:
             raise ValueError("patterns bind no variable")
-    bindings = bgp_match(triples, patterns, select=needed,
-                         optional=optional, filters=filters,
-                         binds=binds, n_buckets=n_buckets)
+    if having:
+        for alias, op, _ in having:
+            if op not in _HAVING_OPS:
+                raise ValueError(f"unknown HAVING op {op!r}")
+            if alias not in aliases + list(group_by):
+                raise ValueError(f"HAVING references unknown {alias!r}")
+    bindings = solutions(needed)
     if global_agg:
         def _addg(df: pd.DataFrame) -> pd.DataFrame:
             df = df.copy()
@@ -3658,25 +3550,12 @@ def bgp_aggregate(triples: rd.Dataset,
             _final, key="__bucket", batch_format="pyarrow")
 
     if having:
-        import operator as _op
-        ops = {"==": _op.eq, "!=": _op.ne, "<": _op.lt,
-               "<=": _op.le, ">": _op.gt, ">=": _op.ge}
-        for alias, op, _ in having:
-            if op not in ops:
-                raise ValueError(f"unknown HAVING op {op!r}")
-            if alias not in out_schema.names:
-                raise ValueError(f"HAVING references unknown {alias!r}")
-
         def _having(t: pa.Table) -> pa.Table:
             # the mask is computed in pandas, the rows are kept in
             # Arrow: the typed aggregate columns pass through exactly
             df = t.select(list(dict.fromkeys(
                 a for a, _, _ in having))).to_pandas()
-            m = pd.Series(True, index=df.index)
-            for alias, op, val in having:
-                col = df[alias]
-                m &= ops[op](col, val) & col.notna()
-            return t.filter(pa.array(m.to_numpy(dtype=bool)))
+            return t.filter(pa.array(_having_mask(df, having)))
 
         agg = agg.map_batches(_having, batch_format="pyarrow")
 
@@ -3695,19 +3574,13 @@ def bgp_aggregate(triples: rd.Dataset,
                            else None) for fn, _, alias in aggs}
             df = pd.DataFrame([row])
             if having:
-                import operator as _op
-                ops = {"==": _op.eq, "!=": _op.ne, "<": _op.lt,
-                       "<=": _op.le, ">": _op.gt, ">=": _op.ge}
-                for alias, op, val in having:
-                    col = df[alias]
-                    df = df[(ops[op](col, val) & col.notna())
-                            .to_numpy()]
+                df = df[_having_mask(df, having)]
         return rd.from_arrow(pa.Table.from_pandas(
             df[res_schema.names].reset_index(drop=True),
             schema=res_schema,
-            preserve_index=False).replace_schema_metadata(None))
+            preserve_index=False).replace_schema_metadata(None)), res_schema
 
-    return rd.from_arrow(out_schema.empty_table()).union(agg)
+    return agg, out_schema
 
 
 def link_prediction(edges: rd.Dataset | None, k: int = 100,

@@ -22,9 +22,10 @@ two sides meet:
   contract is visible and portable.)
 
 Every SPARQL solution join (BGP steps, OPTIONAL, subqueries, MINUS,
-FILTER EXISTS) runs this kernel; the SPARQL operators pick the
+FILTER EXISTS, VALUES) runs this kernel; the SPARQL operators pick the
 distribution from the right side's known row count
-(:func:`~.graph._solution_join`). The set filters
+(:func:`~.graph._solution_join`), and VALUES merges its inline rows
+into each binding batch. The set filters
 :func:`distinct_values` + :func:`semi_join_filter` cover the
 non-SPARQL semi/anti joins.
 

@@ -10,8 +10,7 @@ Dataset out — on top of the already-oracled plan operators
 O(query text); ALL data movement remains in the planner operators, so
 the text layer adds zero exchanges.
 
-Supported grammar (the subset the planner implements — every form
-raises a precise error outside it):
+Supported grammar (every form raises a precise error outside it):
 
 * ``PREFIX ns: <uri>`` declarations, ``a`` for rdf:type.
 * ``SELECT [DISTINCT] (?v | (AGG(?v) AS ?alias) | (EXPR AS ?v))* | *``
@@ -23,16 +22,11 @@ raises a precise error outside it):
   predicate paths ``^p`` (inverse) and ``p1|p2`` (alternation),
   OPTIONAL { }, FILTER (comparisons ``= != < <= > >=`` chained with
   ``&&``, plus CONTAINS/STRSTARTS), FILTER [NOT] EXISTS { },
-  MINUS { }, VALUES, BIND (expr AS ?v), and a top-level
-  ``{ g } UNION { g }``.
+  MINUS { }, VALUES, BIND (expr AS ?v), ``{ SELECT ... }``
+  subqueries, and ``{ g } UNION { g }``; every nested group is a
+  full group.
 * Solution modifiers GROUP BY / HAVING / ORDER BY [ASC|DESC] /
-  LIMIT / OFFSET (OFFSET requires ORDER BY + LIMIT — the paginated
-  top-k idiom; an unordered OFFSET is nondeterministic).
-* ``{ SELECT ... }`` subqueries: an aggregate inner sequence joined
-  to the outer solutions on the shared variables
-  (:func:`graph.bgp_subquery`) by the same solution join as every
-  other join here (a NULL key, e.g. an unbound OPTIONAL variable,
-  never matches), broadcast when the inner sequence is small.
+  LIMIT / OFFSET.
 * Property-path quantifiers ``p+`` (one-or-more) and ``p*``
   (zero-or-more; zero-length pairs are the graph's URI terms paired
   with themselves), over a forward or inverse (``^p``) predicate or
@@ -48,34 +42,72 @@ raises a precise error outside it):
 * Query forms SELECT, ASK, CONSTRUCT, DESCRIBE ?v, and the update
   form ``DELETE { } INSERT { } WHERE { }`` (either template optional;
   ``DELETE WHERE { }`` shorthand).
-
 * VARIABLE PREDICATES: a bare ``?p`` in the predicate slot plans as
   the unfiltered triple scan with the predicate term bound into the
-  solution (the schema-census scan shape) — composable with every
-  form that routes through :func:`graph.bgp_match` (SELECT incl.
-  aggregates/DISTINCT/ORDER BY, ASK, CONSTRUCT, DESCRIBE, updates,
-  UNION, MINUS, EXISTS, subqueries). Reference analogue: arbitrary
-  endpoint SPARQL (cwrc/RDF-extraction Utils/utilities.py:446-490).
-* NAMED GRAPHS: ``GRAPH ?g { ... }`` / ``GRAPH <iri> { ... }`` in
-  the required/OPTIONAL blocks — each inner triple pattern becomes a
-  quad pattern whose 4th slot binds (or constant-filters) the
-  input's ``graph`` column (the engine's N-Quads layout,
-  stages/serialize.py; a NULL graph row never matches ``GRAPH ?g``,
-  per quad-store semantics). Reference analogue: named-graph quads
-  (cwrc/RDF-extraction Huviz/huvizQuads.py:15,129-140).
+  solution (the schema-census scan shape). Reference analogue:
+  arbitrary endpoint SPARQL (cwrc/RDF-extraction
+  Utils/utilities.py:446-490).
+* NAMED GRAPHS: ``GRAPH ?g { ... }`` / ``GRAPH <iri> { ... }`` in any
+  group — each inner triple pattern becomes a quad pattern whose 4th
+  slot binds (or constant-filters) the input's ``graph`` column (the
+  engine's N-Quads layout, stages/serialize.py; a NULL graph row
+  never matches ``GRAPH ?g``, per quad-store semantics). Reference
+  analogue: named-graph quads (cwrc/RDF-extraction
+  Huviz/huvizQuads.py:15,129-140).
 
-Out of scope (documented, loud errors): path operators over a
-variable predicate (``?p+`` / ``^?p`` / ``?p|q``), variable
-predicates composed with p+/p* closures (the composed plan scans a
-union carrying synthetic closure predicates), nested GRAPH groups,
-GRAPH inside UNION/MINUS/EXISTS/subqueries/templates or composed
-with p+/p*, closures outside the required pattern block, and
-non-"|" GROUP_CONCAT separators (the engine pins "|").
+Evaluation. Every query form translates into one algebra tree
+(:func:`_algebra`, SPARQL 1.1 §18) with one evaluator
+(:func:`_evaluate`). The nodes:
+
+* ``leaf`` — one group's required patterns, OPTIONAL, FILTER, VALUES
+  and BIND: one :func:`graph.bgp_match` plan without solution
+  modifiers. Every group is a leaf: the outer group, each UNION
+  branch, each MINUS / EXISTS body and each subquery body.
+* ``join`` — a subquery: the leaf joined with the evaluated inner
+  SELECT on their shared variables.
+* ``anti`` — MINUS and FILTER NOT EXISTS: an anti join against the
+  body's distinct keys. ``semi`` — FILTER EXISTS: an inner join on
+  the body's distinct keys, so a solution keeps its multiplicity.
+  The keys are the variables bound in every solution of both sides
+  (SQL ``[NOT] EXISTS`` with equality); sharing none is an error.
+* ``union`` — the branches concatenated, each padded to the union's
+  variables with typed NULLs.
+* ``group`` — GROUP BY + aggregates + HAVING
+  (:func:`graph.bgp_aggregate`'s body).
+* ``modifiers`` — at a SELECT's root: projection, DISTINCT, ORDER BY
+  + LIMIT top-k, the OFFSET page and the typed zero-row seed.
+
+SELECT returns the root's solutions, ASK whether one exists;
+CONSTRUCT, DESCRIBE and DELETE/INSERT pass them to the template,
+semi-join and update bodies. Every join is one
+:func:`graph._solution_join`, broadcast or exchanged by the right
+side's row count.
+
+Refused, each for a reason (loud errors, never a silent misplan):
+
+* p+/p* outside the outer required block: a nested leaf would read
+  the closure as a one-hop alternation.
+* p+/p* with a variable predicate anywhere in the query: the composed
+  scan holds the closure's synthetic predicates, which an unfiltered
+  ``?p`` would match.
+* p+/p* with GRAPH anywhere in the query: the composed scan projects
+  the graph column away.
+* p+/p* composed in DESCRIBE or an update: those return graph
+  triples, which the derived closure relation would pollute.
+* OFFSET without ORDER BY + LIMIT: an unordered page is
+  nondeterministic; the page is cut on the driver from the top-k.
+* OFFSET inside a subquery: that page cut would collect the inner
+  sequence on the driver in the middle of the plan.
+* GROUP_CONCAT separators other than ``"|"``: the engine pins it.
+* Cartesian patterns: a group's patterns must share variables.
+* Path operators over a variable predicate (``?p+`` / ``^?p`` /
+  ``?p|q``) and nested GRAPH groups.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 _RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -254,9 +286,9 @@ class _Parser:
     def parse_group(self) -> dict:
         """One { ... } group body -> plan fragment dict."""
         g: dict = {"patterns": [], "optional": [], "filters": [],
-                   "minus": None, "exists": None, "not_exists": None,
+                   "minus": [], "exists": [], "not_exists": [],
                    "values": None, "binds": [], "union": None,
-                   "subquery": None}
+                   "subquery": []}
         self._expect("{")
         # top-level UNION: { {g1} UNION {g2} [UNION {g3}] }
         if self._peek()[1] == "{" and self._kw(1) != "select":
@@ -266,17 +298,8 @@ class _Parser:
                 branches.append(self.parse_group())
             self._expect("}")
             if len(branches) == 1:  # plain nested group: inline it
-                branches[0].setdefault("patterns", [])
                 return branches[0]
-            for b in branches:
-                if (b["filters"] or b["minus"] or b["exists"]
-                        or b["not_exists"] or b["values"] or b["binds"]
-                        or b["union"]):
-                    raise NotImplementedError(
-                        "UNION branches support only triple patterns "
-                        "and OPTIONAL")
-            g["union"] = [(b["patterns"], b["optional"] or None)
-                          for b in branches]
+            g["union"] = branches
             return g
         dot_ok = False
         while self._peek()[1] != "}":
@@ -303,10 +326,7 @@ class _Parser:
                 self._parse_filter(g)
             elif kw == "minus":
                 self._next()
-                sub = self.parse_group()
-                if g["minus"] is not None:
-                    raise NotImplementedError("one MINUS per group")
-                g["minus"] = sub["patterns"]
+                g["minus"].append(self.parse_group())
             elif kw == "graph":
                 # GRAPH (?g | <iri>) { triple patterns }: each inner
                 # pattern becomes a QUAD pattern (s, p, o, gterm) —
@@ -357,10 +377,8 @@ class _Parser:
                     raise NotImplementedError(
                         "nested groups are supported as UNION "
                         "branches or { SELECT ... } subqueries only")
-                if g["subquery"] is not None:
-                    raise NotImplementedError("one subquery per group")
                 self._next()  # {
-                g["subquery"] = self._parse_subselect()
+                g["subquery"].append(self._parse_subselect())
                 self._expect("}")
             else:
                 self._parse_triples_block(g["patterns"])
@@ -397,11 +415,8 @@ class _Parser:
             self._next()
             if negated:
                 self._expect("exists")
-            sub = self.parse_group()
-            key = "not_exists" if negated else "exists"
-            if g[key] is not None:
-                raise NotImplementedError(f"one FILTER {key} per group")
-            g[key] = sub["patterns"]
+            g["not_exists" if negated else "exists"].append(
+                self.parse_group())
             return
         self._expect("(")
         while True:
@@ -652,7 +667,6 @@ class _Parser:
         if self._kw() == "where":
             self._next()
         q["group"] = self.parse_group()
-        q["binds"] = q["group"]["binds"] + q["binds"]
         self._parse_modifiers(q)
         return q
 
@@ -856,66 +870,230 @@ def _compose_closures(G, triples, patterns, n_buckets: int):
     return aug, out_pats
 
 
-#: clauses whose patterns no scan matches: UNION branches and templates
-_UNSCANNED = ("union", "template", "delete", "insert")
+#: clauses whose patterns no scan matches: the templates
+_UNSCANNED = ("template", "delete", "insert")
 
 
-def _clauses(q: dict, prefix: str = ""):
-    """Every pattern of the query, with its clause: ``patterns``,
-    ``optional``, ``minus``, ``exists``, ``not_exists``, ``union``
-    and the templates ``template`` / ``delete`` / ``insert``; a
-    subquery's patterns come with its clause prefixed ``sub.``."""
-    g = q["group"]
-    for clause in ("patterns", "optional", "minus", "exists",
-                   "not_exists"):
-        for p in g[clause] or []:
-            yield prefix + clause, p
-    for pats, opt in g["union"] or []:
-        for p in list(pats) + list(opt or []):
-            yield prefix + "union", p
+def _clauses(q: dict):
+    """Every pattern of the query, with its clause: ``patterns`` and
+    ``optional`` for the outer group's required and OPTIONAL blocks, a
+    nested group's clause behind the path of clauses holding it
+    (``minus.``, ``exists.``, ``not_exists.``, ``union.``, ``sub.``,
+    e.g. ``union.patterns``), and the templates ``template`` /
+    ``delete`` / ``insert``."""
+    def _walk(g: dict, prefix: str):
+        for clause in ("patterns", "optional"):
+            for p in g[clause]:
+                yield prefix + clause, p
+        for clause in ("minus", "exists", "not_exists", "union"):
+            for sub in g[clause] or []:
+                yield from _walk(sub, f"{prefix}{clause}.")
+        for sub in g["subquery"]:
+            yield from _walk(sub["group"], prefix + "sub.")
+
+    yield from _walk(q["group"], "")
     for clause in ("template", "delete", "insert"):
         for p in q[clause] or []:
-            yield prefix + clause, p
-    if g["subquery"] is not None:
-        yield from _clauses(g["subquery"], "sub.")
+            yield clause, p
+
+
+class _Node(NamedTuple):
+    """One node of a query's algebra tree (SPARQL 1.1 §18).
+
+    ``kind`` is ``leaf`` (a group's patterns, OPTIONAL, FILTER, VALUES
+    and BIND: one :func:`graph.bgp_match` plan), ``join`` (a subquery),
+    ``anti`` (MINUS / FILTER NOT EXISTS), ``semi`` (FILTER EXISTS),
+    ``union``, ``group`` (GROUP BY + aggregates + HAVING) or
+    ``modifiers`` (projection, DISTINCT, ORDER BY, LIMIT, OFFSET).
+    ``vars`` are the variables it binds, in first-appearance order;
+    ``sure`` are those bound in every solution, the only ones a MINUS
+    or EXISTS may join on. ``arg``: a leaf's group, the join keys, the
+    grouping ``(group_by, aggs, having)`` or the query's modifiers."""
+    kind: str
+    kids: tuple
+    vars: list
+    sure: list
+    arg: object = None
+
+
+_LEAF_CLAUSES = ("patterns", "optional", "filters", "values", "binds")
+
+
+def _algebra(q: dict, sub: bool = False) -> _Node:
+    """The algebra tree of a parsed (sub)query: its group, grouped if
+    it aggregates, under the solution modifiers if it is a SELECT."""
+    if sub and q["offset"] is not None:
+        raise NotImplementedError(
+            "OFFSET inside a subquery is not supported")
+    node = _group_node(q["group"], q["binds"])
+    if q["aggs"] or q["group_by"]:
+        if not q["aggs"]:
+            raise NotImplementedError("GROUP BY needs aggregates")
+        node = _Node("group", (node,),
+                     q["group_by"] + [a[2] for a in q["aggs"]],
+                     [v for v in q["group_by"] if v in node.sure],
+                     (q["group_by"], q["aggs"], q["having"]))
+    elif q["having"]:
+        raise NotImplementedError("HAVING needs GROUP BY aggregates")
+    if q["form"] != "select":
+        return node
+    select = (node.vars if q["select"] is None or q["aggs"]
+              else q["select"])
+    return _Node("modifiers", (node,), select,
+                 [v for v in node.sure if v in select], q)
+
+
+def _group_node(g: dict, extra_binds=()) -> _Node:
+    """One ``{ }`` group: a UNION of its branches, or its leaf joined
+    with its subqueries, then semi-joined with its FILTER EXISTS
+    bodies and anti-joined with its FILTER NOT EXISTS and MINUS
+    bodies. ``extra_binds`` are the SELECT's projection expressions,
+    evaluated in the leaf (of every branch, for a UNION)."""
+    if g["union"]:
+        kids = tuple(_group_node(b, extra_binds) for b in g["union"])
+        return _Node("union", kids,
+                     list(dict.fromkeys(v for k in kids for v in k.vars)),
+                     [v for v in kids[0].sure
+                      if all(v in k.sure for k in kids[1:])])
+    subs = [_algebra(sq, sub=True) for sq in g["subquery"]]
+    if subs and not extra_binds and not any(g[k] for k in _LEAF_CLAUSES):
+        node = subs.pop(0)
+    else:
+        from rdf_extraction_ray.stages.graph import _leaf_vars, \
+            _pattern_vars
+        leaf = dict(g, binds=g["binds"] + list(extra_binds))
+        node = _Node("leaf", (), _leaf_vars(g["patterns"], g["optional"],
+                                            leaf["binds"]),
+                     _pattern_vars(g["patterns"]), leaf)
+    for right in subs:
+        on = [v for v in right.vars if v in node.vars]
+        if not on:
+            raise ValueError(
+                "subquery shares no variable with the outer pattern")
+        node = _Node("join", (node, right),
+                     node.vars + [v for v in right.vars if v not in on],
+                     list(dict.fromkeys(node.sure + on + right.sure)), on)
+    for clause, kind, name in (("exists", "semi", "EXISTS"),
+                               ("not_exists", "anti", "NOT EXISTS"),
+                               ("minus", "anti", "MINUS")):
+        for body in g[clause]:
+            right = _group_node(body)
+            keys = [v for v in node.sure if v in right.sure]
+            if not keys:
+                raise ValueError(
+                    f"{name} patterns share no variable with the "
+                    "required main patterns")
+            node = _Node(kind, (node, right), node.vars, node.sure, keys)
+    return node
+
+
+def _project(ds, schema, need: list[str]):
+    import pyarrow as pa
+
+    if list(schema.names) == list(need):
+        return ds, schema
+    return (ds.select_columns(need),
+            pa.schema([schema.field(v) for v in need]))
+
+
+def _evaluate(G, triples, node: _Node, need: list[str], n_buckets: int):
+    """``(solutions, schema)`` of ``node`` over ``triples``, projected
+    to the variables ``need`` (the schema's names, in that order): the
+    one evaluator of every query form. Each join is
+    :func:`graph._solution_join`, whose right side is materialized so
+    that its row count picks broadcast or exchange."""
+    import pyarrow as pa
+
+    bad = [v for v in need if v not in node.vars]
+    if bad:
+        raise ValueError(f"selected vars bound by no pattern: {bad}")
+
+    def _eval(kid, vs):
+        return _evaluate(G, triples, kid, vs, n_buckets)
+
+    if node.kind == "leaf":
+        g = node.arg
+        return G._bgp_leaf(
+            triples, g["patterns"], need, optional=g["optional"] or None,
+            filters=g["filters"] or None, values=g["values"],
+            binds=g["binds"] or None, n_buckets=n_buckets,
+            broadcast_rows=G._BROADCAST_ROWS), G._str_schema(need)
+    if node.kind == "modifiers":
+        q = node.arg
+        ds, schema = _eval(node.kids[0], node.vars)
+        ds = G._modifiers(ds, schema, distinct=q["distinct"],
+                          order_by=q["order_by"] or None, limit=q["limit"],
+                          offset=q["offset"], n_buckets=n_buckets)
+        return _project(ds, schema, need)
+    if node.kind == "group":
+        kid = node.kids[0]
+        return _project(*G._group(lambda vs: _eval(kid, vs)[0],
+                                  kid.vars[:1], *node.arg, n_buckets), need)
+    if node.kind == "union":
+        parts, types = [], {}
+        for kid in node.kids:
+            vs = [v for v in need if v in kid.vars]
+            if not vs:
+                raise ValueError("a UNION branch binds no selected var")
+            ds, schema = _eval(kid, vs)
+            types.update((f.name, f.type) for f in schema
+                         if f.name not in types)
+            parts.append(ds)
+        schema = pa.schema([(v, types[v]) for v in need])
+
+        def _pad(t):
+            return pa.table({f.name: t.column(f.name)
+                             if f.name in t.column_names
+                             else pa.nulls(t.num_rows, f.type)
+                             for f in schema}, schema=schema)
+
+        parts = [ds.map_batches(_pad, batch_format="pyarrow")
+                 for ds in parts]
+        return parts[0].union(*parts[1:]), schema
+    # join / anti / semi
+    left, right = node.kids
+    keys = node.arg
+    lds, ls = _eval(left, list(dict.fromkeys(
+        [v for v in need if v in left.vars] + keys)))
+    if node.kind == "join":
+        from rdf_extraction_ray.stages.joins import _join_schema
+        rds, rs = _eval(right, list(dict.fromkeys(
+            keys + [v for v in need if v in right.vars])))
+        schema = _join_schema(ls, rs, keys, "_r")
+    else:
+        rds, rs = _eval(right, keys)
+        rds = G.distinct_rows(rds, rs, n_buckets)
+        schema = ls
+    rds = rds.materialize()
+    out = G._solution_join(lds, rds, keys,
+                           "anti" if node.kind == "anti" else "inner",
+                           rds.count(), G._BROADCAST_ROWS, n_buckets,
+                           ls, rs)
+    return _project(out, schema, need)
 
 
 def run_sparql(triples, text: str, n_buckets: int = 64):
     """Parse ``text`` and execute it over the ``triples`` Dataset
     (columns subj/pred/obj[, provenance]) — a Dataset out for
-    SELECT/CONSTRUCT/DESCRIBE/update, a bool for ASK. Dispatches to
-    the oracled plan operators; the text layer itself moves no
-    data."""
+    SELECT/CONSTRUCT/DESCRIBE/update, a bool for ASK. Every form
+    evaluates one algebra tree (:func:`_algebra`, :func:`_evaluate`);
+    the text layer itself moves no data."""
     from rdf_extraction_ray.stages import graph as G
 
     q = parse_sparql(text)
     g = q["group"]
 
-    if g["subquery"] is not None \
-            and g["subquery"].get("offset") is not None:
-        raise NotImplementedError(
-            "OFFSET inside a subquery is not supported")
     walk = list(_clauses(q))
 
     # closure paths (p+ / p*) outside the required pattern block are
-    # out of scope — loud errors, never a silent misplan. Subquery
-    # bodies count too: they route to bgp_aggregate, which reads a
-    # closure marker tuple as a plain predicate ALTERNATION, so
-    # transitive patterns would silently become single-hop matches
+    # out of scope — loud errors, never a silent misplan. Nested group
+    # leaves would read a closure marker tuple as a plain predicate
+    # ALTERNATION, so transitive patterns would silently become
+    # single-hop matches
     if any(_is_closure(p) for clause, p in walk if clause != "patterns"):
         raise NotImplementedError(
             "p+/p* are supported in the required pattern block of "
             "the (outer) query only")
-
-    # GRAPH (quad) patterns plan through bgp_match's graph slot —
-    # supported in the required and OPTIONAL blocks; everywhere else
-    # (UNION branches, MINUS / EXISTS bodies, subqueries, templates)
-    # stays a loud error rather than a silently ignored 4th slot
-    if any(len(tuple(p)) == 4 for clause, p in walk
-           if clause not in ("patterns", "optional")):
-        raise NotImplementedError(
-            "GRAPH patterns are supported in the required and "
-            "OPTIONAL blocks of the outer query only")
 
     closures = [p for p in (g["patterns"] or []) if _is_closure(p)]
     if closures:
@@ -928,10 +1106,8 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
         # 2. VARIABLE predicates anywhere (the unfiltered scan would
         #    match the synthetic 'urn:x-sparql-closure:N' rows as if
         #    they were real triples — silently wrong solutions)
-        #    — the aggregate subquery's body scans the same augmented
-        #    set, so its patterns count too (templates are not
-        #    scanned, and closures inside UNION branches are refused
-        #    above, so no closure composes with a UNION)
+        #    — every nested group scans the same augmented set, so
+        #    its patterns count too (templates are not scanned)
         scanned = [p for clause, p in walk
                    if clause.rpartition(".")[2] not in _UNSCANNED]
         if any(len(tuple(p)) == 4 for p in scanned):
@@ -1002,185 +1178,18 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
         triples, g["patterns"] = _compose_closures(
             G, triples, g["patterns"], n_buckets)
 
+    root = _algebra(q)
+
+    def solutions(need: list[str]):
+        return _evaluate(G, triples, root, need, n_buckets)[0]
+
+    if q["form"] == "select":
+        return solutions(root.vars)
     if q["form"] == "ask":
-        if g["union"] or g["minus"] or g["exists"] or g["not_exists"] \
-                or g["values"] or g["binds"] or g["subquery"]:
-            raise NotImplementedError(
-                "ASK supports patterns + OPTIONAL + FILTER")
-        return G.bgp_ask(triples, g["patterns"],
-                         optional=g["optional"] or None,
-                         filters=g["filters"] or None,
-                         n_buckets=n_buckets)
-
+        return solutions(root.vars).limit(1).count() > 0
     if q["form"] == "construct":
-        if g["filters"] or g["union"] or g["minus"] or g["values"] \
-                or g["subquery"] or g["binds"]:
-            raise NotImplementedError(
-                "CONSTRUCT supports patterns + OPTIONAL")
-        return G.bgp_construct(triples, g["patterns"], q["template"],
-                               optional=g["optional"] or None,
-                               n_buckets=n_buckets)
-
+        return G._construct(solutions, q["template"], n_buckets)
     if q["form"] == "describe":
-        if g["filters"] or g["union"] or g["minus"] or g["values"] \
-                or g["subquery"] or g["binds"]:
-            raise NotImplementedError(
-                "DESCRIBE supports patterns + OPTIONAL")
-        return G.describe_subjects(triples, g["patterns"],
-                                   q["describe_var"],
-                                   optional=g["optional"] or None,
-                                   n_buckets=n_buckets)
-
-    if q["form"] == "update":
-        if g["filters"] or g["union"] or g["minus"] or g["values"] \
-                or g["subquery"] or g["binds"]:
-            raise NotImplementedError(
-                "updates support patterns + OPTIONAL in WHERE")
-        return G.sparql_update(triples, g["patterns"],
-                               delete=q["delete"], insert=q["insert"],
-                               optional=g["optional"] or None,
-                               n_buckets=n_buckets)
-
-    # ---- SELECT
-    if q["offset"] is not None and (
-            g["union"] is not None or g["subquery"] is not None
-            or q["aggs"] or q["group_by"] or g["minus"] is not None
-            or g["exists"] is not None or g["not_exists"] is not None):
-        raise NotImplementedError(
-            "OFFSET composes with the plain pattern SELECT "
-            "(ORDER BY + LIMIT pagination)")
-    if g["union"] is not None:
-        if q["aggs"] or q["binds"] or q["order_by"] or q["limit"] \
-                or q["group_by"]:
-            raise NotImplementedError(
-                "UNION composes with DISTINCT only")
-        select = q["select"]
-        if select is None:  # SELECT *: vars in first-appearance order
-            from rdf_extraction_ray.stages.graph import _pattern_vars
-            select = []
-            for pats, opt in g["union"]:
-                for v in _pattern_vars(list(pats) + list(opt or [])):
-                    if v not in select:
-                        select.append(v)
-        return G.bgp_union(triples, g["union"], select,
-                           distinct=q["distinct"], n_buckets=n_buckets)
-
-    if g["subquery"] is not None:
-        inner = g["subquery"]
-        ig = inner["group"]
-        if not inner["aggs"]:
-            raise NotImplementedError(
-                "subqueries must be aggregate SELECTs (the planner "
-                "joins an aggregate-small inner sequence)")
-        if ig["union"] or ig["minus"] or ig["exists"] \
-                or ig["not_exists"] or ig["values"] or ig["subquery"] \
-                or inner["order_by"] or inner["limit"]:
-            raise NotImplementedError(
-                "subquery bodies support patterns, OPTIONAL, FILTER "
-                "and BIND")
-        if q["aggs"] or q["binds"] or q["order_by"] or q["limit"] \
-                or g["minus"] or g["exists"] or g["not_exists"] \
-                or g["values"]:
-            raise NotImplementedError(
-                "the outer query of a subquery supports patterns, "
-                "OPTIONAL, FILTER and DISTINCT")
-        sub = G.bgp_aggregate(triples, ig["patterns"],
-                              inner["group_by"], inner["aggs"],
-                              optional=ig["optional"] or None,
-                              filters=ig["filters"] or None,
-                              having=inner["having"] or None,
-                              binds=inner["binds"] or None,
-                              n_buckets=n_buckets)
-        from rdf_extraction_ray.stages.graph import _pattern_vars
-        outer_vars = _pattern_vars(
-            list(g["patterns"]) + list(g["optional"]))
-        inner_cols = inner["group_by"] + [a[2] for a in inner["aggs"]]
-        on = [v for v in inner_cols if v in outer_vars]
-        if not on:
-            raise ValueError(
-                "subquery shares no variable with the outer pattern")
-        return G.bgp_subquery(triples, g["patterns"], sub, on,
-                              select=q["select"],
-                              distinct=q["distinct"],
-                              optional=g["optional"] or None,
-                              filters=g["filters"] or None,
-                              n_buckets=n_buckets)
-
-    if q["aggs"] or q["group_by"]:
-        if not q["aggs"]:
-            raise NotImplementedError("GROUP BY needs aggregates")
-        if g["minus"] or g["exists"] or g["not_exists"] or g["values"]:
-            raise NotImplementedError(
-                "aggregates compose with patterns/OPTIONAL/FILTER/BIND")
-        if q["order_by"] or q["limit"]:
-            raise NotImplementedError(
-                "ORDER BY / LIMIT over aggregates is not supported")
-        return G.bgp_aggregate(triples, g["patterns"], q["group_by"],
-                               q["aggs"],
-                               optional=g["optional"] or None,
-                               filters=g["filters"] or None,
-                               having=q["having"] or None,
-                               binds=q["binds"] or None,
-                               n_buckets=n_buckets)
-    if q["having"]:
-        raise NotImplementedError("HAVING needs GROUP BY aggregates")
-
-    if g["minus"] is not None or g["not_exists"] is not None:
-        if g["values"] or q["binds"] or q["order_by"] or q["limit"] \
-                or g["exists"] is not None:
-            raise NotImplementedError(
-                "MINUS / NOT EXISTS compose with patterns, OPTIONAL, "
-                "FILTER and DISTINCT")
-        return G.bgp_minus(triples, g["patterns"],
-                           g["minus"] if g["minus"] is not None
-                           else g["not_exists"],
-                           select=q["select"], distinct=q["distinct"],
-                           optional=g["optional"] or None,
-                           filters=g["filters"] or None,
-                           n_buckets=n_buckets)
-
-    if g["exists"] is not None:
-        if g["values"] or q["binds"] or q["order_by"] or q["limit"]:
-            raise NotImplementedError(
-                "FILTER EXISTS composes with patterns, OPTIONAL, "
-                "FILTER and DISTINCT")
-        return G.bgp_exists(triples, g["patterns"], g["exists"],
-                            select=q["select"], distinct=q["distinct"],
-                            optional=g["optional"] or None,
-                            filters=g["filters"] or None,
-                            n_buckets=n_buckets)
-
-    offset = q["offset"]
-    if offset:
-        # paginated top-k: fetch the sorted top (offset + limit)
-        # rows, then drop the first ``offset`` — the materialization
-        # is RESULT-PAGE-sized (offset + limit rows), never the full
-        # solution sequence, which is why ORDER BY + LIMIT are
-        # required (unordered OFFSET would be nondeterministic
-        # anyway)
-        if not q["order_by"] or q["limit"] is None:
-            raise NotImplementedError(
-                "OFFSET requires ORDER BY and LIMIT")
-        import pyarrow as pa
-        import ray.data as rd
-        out = G.bgp_match(triples, g["patterns"], select=q["select"],
-                          distinct=q["distinct"],
-                          optional=g["optional"] or None,
-                          filters=g["filters"] or None,
-                          values=g["values"],
-                          order_by=q["order_by"] or None,
-                          limit=q["limit"] + offset,
-                          binds=q["binds"] or None,
-                          n_buckets=n_buckets)
-        page = out.to_pandas().iloc[offset:]
-        return rd.from_arrow(pa.Table.from_pandas(
-            page, schema=pa.schema([(c, pa.string()) for c in page.columns]),
-            preserve_index=False).replace_schema_metadata(None))
-    return G.bgp_match(triples, g["patterns"], select=q["select"],
-                       distinct=q["distinct"],
-                       optional=g["optional"] or None,
-                       filters=g["filters"] or None,
-                       values=g["values"],
-                       order_by=q["order_by"] or None,
-                       limit=q["limit"], binds=q["binds"] or None,
-                       n_buckets=n_buckets)
+        return G._describe(triples, solutions, q["describe_var"], n_buckets)
+    return G._update(triples, solutions, q["delete"], q["insert"],
+                     n_buckets)

@@ -1347,37 +1347,36 @@ class TestSparqlForms:
         assert len(bc) == 5
         assert (bc["t"] == "~").sum() == 2  # e2 rows (bob×2 places)
 
-    def test_bgp_subquery_joins_inner_aggregate(self):
+    def test_bgp_subquery_joins_inner_aggregate(self, monkeypatch):
         import pandas as pd
         import ray.data as rd
 
-        from rdf_extraction_ray.stages.graph import (bgp_aggregate,
-                                                     bgp_subquery)
+        from rdf_extraction_ray.stages import graph
+        from rdf_extraction_ray.stages.sparql import run_sparql
         rows = [("e1", "died", "alice"), ("alice", "at", "york"),
                 ("e2", "died", "bob"), ("bob", "at", "york"),
                 ("e3", "died", "cara"), ("cara", "at", "leeds")]
         tr = rd.from_pandas(pd.DataFrame(
             rows, columns=["subj", "pred", "obj"]))
-        pats = [("?ev", "died", "?p"), ("?p", "at", "?w")]
-        inner = bgp_aggregate(tr, pats, group_by=["w"],
-                              aggs=[("count", "*", "n")],
-                              having=[("n", ">=", 2)])
-        out = bgp_subquery(tr, pats, inner, on=["w"],
-                           select=["p", "w", "n"], distinct=True)
-        df = out.to_pandas().sort_values("p", ignore_index=True)
+        q = """SELECT DISTINCT ?p ?w ?n WHERE {
+                 ?ev <died> ?p . ?p <at> ?w .
+                 { SELECT ?w (COUNT(*) AS ?n) WHERE {
+                     ?ev <died> ?p . ?p <at> ?w }
+                   GROUP BY ?w HAVING (?n >= 2) } }"""
+        df = run_sparql(tr, q).to_pandas().sort_values(
+            "p", ignore_index=True)
         # only york clears HAVING n>=2; cara/leeds is filtered out
         assert df.to_dict("list") == {
             "p": ["alice", "bob"], "w": ["york", "york"],
             "n": [2, 2]}
         assert str(df["n"].dtype) == "int64"
         # hash-join fallback path (cap 0) agrees
-        out2 = bgp_subquery(tr, pats, inner, on=["w"],
-                            select=["p", "w", "n"], distinct=True,
-                            broadcast_rows=0)
-        df2 = out2.to_pandas().sort_values("p", ignore_index=True)
+        monkeypatch.setattr(graph, "_BROADCAST_ROWS", 0)
+        df2 = run_sparql(tr, q).to_pandas().sort_values(
+            "p", ignore_index=True)
         pd.testing.assert_frame_equal(df, df2)
 
-    def test_null_keys_never_match_on_either_path(self):
+    def test_null_keys_never_match_on_either_path(self, monkeypatch):
         """OPTIONAL leaves ?w unbound for bob and cara. Broadcast or
         exchanged (``broadcast_rows=0``), every solution join returns
         hash_join's rows: a NULL key never matches, not even another
@@ -1385,9 +1384,9 @@ class TestSparqlForms:
         import pandas as pd
         import ray.data as rd
 
-        from rdf_extraction_ray.stages.graph import (bgp_aggregate,
-                                                     bgp_match,
-                                                     bgp_subquery)
+        from rdf_extraction_ray.stages import graph
+        from rdf_extraction_ray.stages.graph import bgp_match
+        from rdf_extraction_ray.stages.sparql import run_sparql
         rows = [("e1", "died", "alice"), ("alice", "at", "york"),
                 ("e2", "died", "bob"), ("e3", "died", "cara")]
         tr = rd.from_pandas(pd.DataFrame(
@@ -1400,12 +1399,14 @@ class TestSparqlForms:
             return sorted(map(tuple, df.to_numpy().tolist()))
 
         # the inner groups are york (1) and the unbound ?w (2)
-        inner = bgp_aggregate(tr, pats, group_by=["w"],
-                              aggs=[("count", "*", "n")], optional=opt)
+        q = """SELECT ?p ?w ?n WHERE {
+                 ?ev <died> ?p OPTIONAL { ?p <at> ?w }
+                 { SELECT ?w (COUNT(*) AS ?n) WHERE {
+                     ?ev <died> ?p OPTIONAL { ?p <at> ?w } }
+                   GROUP BY ?w } }"""
         for cap in (1_000_000, 0):
-            out = bgp_subquery(tr, pats, inner, on=["w"], optional=opt,
-                               select=["p", "w", "n"],
-                               broadcast_rows=cap)
+            monkeypatch.setattr(graph, "_BROADCAST_ROWS", cap)
+            out = run_sparql(tr, q)
             assert _rows(out, ["p", "w", "n"]) == [("alice", "york", 1)]
 
         from rdf_extraction_ray.stages.graph import (_solution_join,
@@ -1472,13 +1473,13 @@ class TestSparqlForms:
     def test_bgp_union_pads_unbound_and_dedups(self):
         import pandas as pd
 
-        from rdf_extraction_ray.stages.graph import bgp_union
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
-        out = bgp_union(
-            tr,
-            [[("?p", "dplace", "?place")],   # binds both vars
-             [("?ev", "died", "?p")]],       # place unbound -> NULL
-            select=["p", "place"]).to_pandas()
+        out = run_sparql(tr, """
+            SELECT DISTINCT ?p ?place WHERE {
+              { ?p <dplace> ?place }      # binds both vars
+              UNION { ?ev <died> ?p } }   # place unbound -> NULL
+            """).to_pandas()
         out = out.sort_values(["p", "place"],
                               ignore_index=True, na_position="last")
         exp = pd.DataFrame({
@@ -1488,12 +1489,12 @@ class TestSparqlForms:
         pd.testing.assert_frame_equal(out, exp)
 
     def test_bgp_ask(self):
-        from rdf_extraction_ray.stages.graph import bgp_ask
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
-        assert bgp_ask(tr, [("?ev", "died", "?p"),
-                            ("?p", "dplace", "?dp")]) is True
-        assert bgp_ask(tr, [("?p", "dplace", "?dp")],
-                       filters=[("?dp", "==", "gotham")]) is False
+        assert run_sparql(tr, """ASK { ?ev <died> ?p .
+                                      ?p <dplace> ?dp }""") is True
+        assert run_sparql(tr, """ASK { ?p <dplace> ?dp
+                                      FILTER (?dp = "gotham") }""") is False
 
     def test_describe_subjects_returns_full_rows(self):
         from rdf_extraction_ray.stages.graph import describe_subjects
@@ -1525,43 +1526,40 @@ class TestSparqlNegationAndAggregates:
             rows, columns=["subj", "pred", "obj"]))
 
     def test_minus_removes_compatible_solutions(self):
-        from rdf_extraction_ray.stages.graph import bgp_minus
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
         # undated death events: ev3, ev4
-        out = bgp_minus(tr, [("?ev", "died", "?p")],
-                        [("?ev", "ts", "?t")],
-                        select=["ev", "p"]).to_pandas()
+        out = run_sparql(tr, """SELECT ?ev ?p WHERE {
+            ?ev <died> ?p MINUS { ?ev <ts> ?t } }""").to_pandas()
         out = out.sort_values("ev", ignore_index=True)
         pd.testing.assert_frame_equal(
             out, pd.DataFrame({"ev": ["ev3", "ev4"],
                                "p": ["bob", "carol"]}))
         # negation on a different shared var + distinct projection
-        dd = bgp_minus(tr, [("?ev", "died", "?p")],
-                       [("?p", "buried", "?bp")],
-                       select=["p"], distinct=True).to_pandas()
+        dd = run_sparql(tr, """SELECT DISTINCT ?p WHERE {
+            ?ev <died> ?p MINUS { ?p <buried> ?bp } }""").to_pandas()
         assert sorted(dd["p"]) == ["alice", "carol", "dan"]
 
     def test_minus_empty_negation_keeps_all(self):
-        from rdf_extraction_ray.stages.graph import bgp_minus
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
-        out = bgp_minus(tr, [("?ev", "died", "?p")],
-                        [("?p", "nopred", "?x")],
-                        select=["p"], distinct=True).to_pandas()
+        out = run_sparql(tr, """SELECT DISTINCT ?p WHERE {
+            ?ev <died> ?p MINUS { ?p <nopred> ?x } }""").to_pandas()
         assert sorted(out["p"]) == ["alice", "bob", "carol", "dan"]
         # full negation -> typed empty, not a crash
-        none = bgp_minus(tr, [("?p", "dplace", "?dp")],
-                         [("?x", "died", "?p")], select=["p", "dp"])
+        none = run_sparql(tr, """SELECT ?p ?dp WHERE {
+            ?p <dplace> ?dp MINUS { ?x <died> ?p } }""")
         assert none.schema().names == ["p", "dp"]
         assert none.count() == 0
 
     def test_minus_requires_shared_required_var(self):
         import pytest
 
-        from rdf_extraction_ray.stages.graph import bgp_minus
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
         with pytest.raises(ValueError, match="share"):
-            bgp_minus(tr, [("?ev", "died", "?p")],
-                      [("?a", "dplace", "?b")])
+            run_sparql(tr, """SELECT * WHERE {
+                ?ev <died> ?p MINUS { ?a <dplace> ?b } }""")
 
     def test_aggregate_exact_and_combiner_paths_agree(self):
         from rdf_extraction_ray.stages.graph import bgp_aggregate
@@ -1771,7 +1769,7 @@ class TestMinusNegationShapes:
         import pandas as pd
         import ray.data as rd
 
-        from rdf_extraction_ray.stages.graph import bgp_minus
+        from rdf_extraction_ray.stages.sparql import run_sparql
         rows = [
             ("ev1", "died", "alice"), ("ev2", "died", "alice"),
             ("ev3", "died", "bob"), ("ev4", "died", "carol"),
@@ -1781,20 +1779,18 @@ class TestMinusNegationShapes:
         tr = rd.from_pandas(pd.DataFrame(
             rows, columns=["subj", "pred", "obj"])).repartition(3)
 
-        one = (bgp_minus(tr, [("?ev", "died", "?p")],
-                         [("?ev", "ts", "?t")], select=["ev", "p"])
+        one = (run_sparql(tr, """SELECT ?ev ?p WHERE {
+                   ?ev <died> ?p MINUS { ?ev <ts> ?t } }""")
                .to_pandas().sort_values(["ev", "p"], ignore_index=True))
         assert list(one["ev"]) == ["ev3", "ev4"]
         # a multi-pattern negation, and one whose vars are ALL shared
-        both = bgp_minus(tr, [("?ev", "died", "?p")],
-                         [("?p", "dplace", "?dp"),
-                          ("?dp", "nope", "?x")],
-                         select=["p"], distinct=True).to_pandas()
+        both = run_sparql(tr, """SELECT DISTINCT ?p WHERE {
+            ?ev <died> ?p
+            MINUS { ?p <dplace> ?dp . ?dp <nope> ?x } }""").to_pandas()
         assert sorted(both["p"]) == ["alice", "bob", "carol"]
-        noshared_marker = bgp_minus(
-            tr, [("?ev", "died", "?p"), ("?p", "dplace", "?dp")],
-            [("?p", "dplace", "?dp")], select=["p"],
-            distinct=True)
+        noshared_marker = run_sparql(tr, """SELECT DISTINCT ?p WHERE {
+            ?ev <died> ?p . ?p <dplace> ?dp
+            MINUS { ?p <dplace> ?dp } }""")
         assert noshared_marker.count() == 0
 
 
@@ -2073,27 +2069,26 @@ class TestSparqlBindSumAvgExists:
         assert out["avg_len"].tolist() == [16 / 3]
 
     def test_exists_semi_multiplicity_and_distinct(self):
-        from rdf_extraction_ray.stages.graph import bgp_exists
+        from rdf_extraction_ray.stages.sparql import run_sparql
         tr = self._triples()
-        out = (bgp_exists(tr, [("?ev", "died", "?p")],
-                          [("?p", "occ", "?w")])
+        out = (run_sparql(tr, """SELECT * WHERE {
+                   ?ev <died> ?p FILTER EXISTS { ?p <occ> ?w } }""")
                .to_pandas().sort_values("ev", ignore_index=True))
         # p1 has TWO occ witnesses: e1/e2 still appear exactly once;
         # p9 has none: e4 dropped
         assert out["ev"].tolist() == ["e1", "e2", "e3"]
         assert out["p"].tolist() == ["p1", "p1", "p2"]
-        dis = bgp_exists(tr, [("?ev", "died", "?p")],
-                         [("?p", "occ", "?w")], select=["p"],
-                         distinct=True).to_pandas()
+        dis = run_sparql(tr, """SELECT DISTINCT ?p WHERE {
+            ?ev <died> ?p FILTER EXISTS { ?p <occ> ?w } }""").to_pandas()
         assert sorted(dis["p"]) == ["p1", "p2"]
 
     def test_exists_requires_shared_var(self):
         import pytest
 
-        from rdf_extraction_ray.stages.graph import bgp_exists
+        from rdf_extraction_ray.stages.sparql import run_sparql
         with pytest.raises(ValueError, match="share no variable"):
-            bgp_exists(self._triples(), [("?ev", "died", "?p")],
-                       [("?x", "occ", "?w")])
+            run_sparql(self._triples(), """SELECT * WHERE {
+                ?ev <died> ?p FILTER EXISTS { ?x <occ> ?w } }""")
 
 
 class TestCMSSketch:

@@ -75,6 +75,24 @@ class TestSelect:
             }"""))
         assert set(got["up"]) == {"ALICE"}
 
+    def test_values_duplicates_nonmatching_and_multi_var(self):
+        # VALUES is an inner join against its deduplicated rows: a
+        # duplicate inline row never doubles a solution, a row that
+        # matches nothing adds none, and the solutions' own bag
+        # multiplicity (alice died twice) stays
+        tr = _triples()
+        got = _canon(run_sparql(tr, PRE + """
+            SELECT ?ev ?p WHERE { ?ev ex:died ?p
+              VALUES ?p { "alice" "alice" "nobody" } }"""))
+        assert list(map(tuple, got.to_numpy())) == [
+            ("ev1", "alice"), ("ev2", "alice")]
+        got = _canon(run_sparql(tr, PRE + """
+            SELECT ?ev ?p ?b WHERE { ?ev ex:died ?p . ?p ex:bplace ?b
+              VALUES (?p ?b) { ("alice" "leeds") ("bob" "york")
+                               ("alice" "leeds") } }"""))
+        assert list(map(tuple, got[["ev", "p", "b"]].to_numpy())) == [
+            ("ev1", "alice", "leeds"), ("ev2", "alice", "leeds")]
+
     def test_projection_expression(self):
         tr = _triples()
         got = _canon(run_sparql(tr, PRE + """
@@ -136,6 +154,19 @@ class TestOtherForms:
             got = _canon(run_sparql(tr, PRE + q % clause))
             assert got["p"].tolist() == want, clause
 
+    def test_negation_bodies_keep_their_filters(self):
+        # a MINUS / EXISTS body is a full group: its FILTER applies
+        # (no dplace is "nowhere", so nothing is removed / kept)
+        tr = _triples()
+        q = """
+            SELECT ?p WHERE { ?ev ex:died ?p .
+              %s { ?p ex:dplace ?d FILTER (?d = "nowhere") } }"""
+        for clause, want in [("MINUS", ["alice", "alice", "bob"]),
+                             ("FILTER NOT EXISTS", ["alice", "alice", "bob"]),
+                             ("FILTER EXISTS", [])]:
+            got = run_sparql(tr, PRE + q % clause).take_all()
+            assert sorted(r["p"] for r in got) == want, clause
+
     def test_aggregate_group_by_having(self):
         tr = _triples()
         got = run_sparql(tr, PRE + """
@@ -173,8 +204,6 @@ class TestParserErrors:
         ("SELECT ?g WHERE { GRAPH 42 { ?x <p> ?y } }", SyntaxError),
         ("SELECT ?x WHERE { GRAPH ?g { ?x <p>+ ?y } }",
          NotImplementedError),
-        ("SELECT ?x ?y WHERE { { GRAPH ?g { ?x <p> ?y } } UNION "
-         "{ ?x <q> ?y } }", NotImplementedError),
         ("SELECT ?x WHERE { ?x <p> ?y } OFFSET 5", NotImplementedError),
         ("SELECT ?x WHERE { ?x <p> ?y } LIMIT x", SyntaxError),
         ("FROB ?x WHERE { }", SyntaxError),
@@ -229,17 +258,27 @@ class TestSubquery:
             ["ev1", "alice"], ["ev2", "alice"]]
         assert set(got["n"]) == {2}
 
-    def test_subquery_must_share_a_var_and_aggregate(self):
+    def test_subquery_must_share_a_var(self):
         tr = _triples()
         with pytest.raises(ValueError):
             run_sparql(tr, PRE + """
                 SELECT ?s WHERE { ?s ex:bplace ?b .
                   { SELECT ?p (COUNT(*) AS ?n)
                     WHERE { ?e ex:died ?p } GROUP BY ?p } }""")
-        with pytest.raises(NotImplementedError):
-            run_sparql(tr, PRE + """
-                SELECT ?s WHERE { ?s ex:bplace ?b .
-                  { SELECT ?b WHERE { ?e ex:dplace ?b } } }""")
+
+    def test_plain_subquery_joins_with_its_own_modifiers(self):
+        # a non-aggregate inner SELECT is a subquery like any other:
+        # its solutions (bag, or set under DISTINCT) join the outer ones
+        tr = _triples()
+        q = PRE + """
+            SELECT ?p ?b WHERE { ?p ex:bplace ?b .
+              { SELECT %s ?p WHERE { ?ev ex:died ?p } } }"""
+        bag = _canon(run_sparql(tr, q % ""))
+        assert list(map(tuple, bag[["b", "p"]].to_numpy())) == [
+            ("hull", "bob"), ("leeds", "alice"), ("leeds", "alice")]
+        got = _canon(run_sparql(tr, q % "DISTINCT"))
+        assert list(map(tuple, got[["b", "p"]].to_numpy())) == [
+            ("hull", "bob"), ("leeds", "alice")]
 
 
 class TestClosurePath:
@@ -709,6 +748,64 @@ class TestVarPredGraphDifferential:
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+class TestGraphComposition:
+    """GRAPH inside UNION branches, MINUS and EXISTS bodies and a
+    subquery: each group is a leaf of the one evaluator, so its quad
+    patterns plan like the outer group's. Checked against a DuckDB
+    replay on a seeded random quad graph."""
+
+    @staticmethod
+    def _graph():
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        n = 90
+        nodes = [f"n{i}" for i in range(9)]
+        graphs = np.array(["g1", "g2", "g3", None], dtype=object)
+        return pd.DataFrame({
+            "subj": rng.choice(nodes, n),
+            "pred": rng.choice(["p1", "p2", "p3"], n),
+            "obj": rng.choice(nodes, n),
+            "graph": rng.choice(graphs, n),
+        }).drop_duplicates(ignore_index=True)
+
+    @pytest.mark.parametrize("sparql,sql", [
+        ("""SELECT ?s ?g WHERE { { GRAPH ?g { ?s <p1> ?o } }
+              UNION { GRAPH ?g { ?s <p3> ?o } } }""",
+         """SELECT subj AS s, graph AS g FROM t
+            WHERE pred IN ('p1', 'p3') AND graph IS NOT NULL"""),
+        ("""SELECT ?s ?o WHERE { ?s <p1> ?o
+              MINUS { GRAPH <g1> { ?s <p1> ?o } } }""",
+         """SELECT subj AS s, obj AS o FROM t a WHERE pred = 'p1'
+            AND NOT EXISTS (SELECT 1 FROM t b WHERE b.pred = 'p1'
+              AND b.graph = 'g1' AND b.subj = a.subj
+              AND b.obj = a.obj)"""),
+        ("""SELECT ?s ?o WHERE { ?s <p2> ?o
+              FILTER EXISTS { GRAPH ?g { ?o <p1> ?x } } }""",
+         """SELECT subj AS s, obj AS o FROM t a WHERE pred = 'p2'
+            AND EXISTS (SELECT 1 FROM t b WHERE b.pred = 'p1'
+              AND b.graph IS NOT NULL AND b.subj = a.obj)"""),
+        ("""SELECT ?g ?s ?n WHERE { GRAPH ?g { ?s <p2> ?o }
+              { SELECT ?g (COUNT(*) AS ?n)
+                WHERE { GRAPH ?g { ?a <p1> ?b } } GROUP BY ?g } }""",
+         """SELECT a.graph AS g, a.subj AS s, c.n FROM t a
+            JOIN (SELECT graph, count(*)::BIGINT AS n FROM t
+                  WHERE pred = 'p1' AND graph IS NOT NULL
+                  GROUP BY graph) c ON c.graph = a.graph
+            WHERE a.pred = 'p2'"""),
+    ], ids=["union", "minus", "exists", "subquery"])
+    def test_matches_duckdb(self, sparql, sql):
+        import duckdb
+
+        df = self._graph()
+        con = duckdb.connect()
+        con.register("t", df)
+        want = _canon(con.sql(sql).df())
+        got = _canon(run_sparql(rd.from_pandas(df), sparql))
+        assert len(want)
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 class TestRound5Compositions:
     """Edge compositions of the round-5 forms, each pinned against
     hand-computed results on the quad fixture graph
@@ -900,6 +997,53 @@ def test_mix_blocks_share_one_schema(mix_graph, form, source, text):
     full = [b for b in blocks if b.shape[0]]
     assert full and all(isinstance(b, pa.Table) for b in full), form
     assert {b.schema for b in full} == {out.schema().base_schema}, form
+
+
+def _count_executions(monkeypatch, fn):
+    """``fn()``'s result and the number of Ray Data executions (each
+    ``StreamingExecutor.execute`` call) it ran."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    try:
+        out = fn()
+    finally:
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return out, len(runs)
+
+
+#: executions per benchmark query, ``to_pandas`` of the result included
+MIX_EXECUTIONS = {"select": 3, "group_having": 3, "offset": 3, "star": 2,
+                  "plus_compose": 4, "inverse_plus": 4, "census": 2,
+                  "graph": 2, "update": 2}
+
+
+@pytest.mark.parametrize("form,source,text", _mix_forms())
+def test_mix_rows_and_plan_shape(mix_graph, monkeypatch, form, source,
+                                 text):
+    """Each benchmark query returns its SQL replay's rows and runs the
+    pinned number of Ray Data executions."""
+    from kgperf import checks
+    from kgperf.queries import MIX, UPDATE_COLUMNS
+
+    tr = rd.read_parquet(mix_graph[source]).materialize()
+    got, n = _count_executions(
+        monkeypatch, lambda: run_sparql(tr, text).to_pandas())
+    if form == "update":
+        got = got[UPDATE_COLUMNS]
+    sql = dict((f, q) for f, _, _, q in MIX)[form]
+    want = checks.sql_frame(sql.replace(
+        "{triples}", checks.parquet_glob(mix_graph["triples"])))
+    assert len(got), form
+    checks.check_frames(got, want, form)
+    assert n == MIX_EXECUTIONS[form], (form, n)
 
 
 class TestBroadcastCountShortcut:
