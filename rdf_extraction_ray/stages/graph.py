@@ -2646,7 +2646,9 @@ def _modifiers(acc: rd.Dataset, out_schema: pa.Schema,
         acc = acc.limit(int(limit))
 
     if offset:
-        page = _seeded(acc, out_schema).to_pandas().iloc[offset:]
+        # a zero-row result converts to a frame without columns
+        page = (_seeded(acc, out_schema).to_pandas().iloc[offset:]
+                .reindex(columns=select))
         return rd.from_arrow(pa.Table.from_pandas(
             page, schema=out_schema,
             preserve_index=False).replace_schema_metadata(None))

@@ -69,7 +69,8 @@ Evaluation. Every query form translates into one algebra tree
   body's distinct keys. ``semi`` — FILTER EXISTS: an inner join on
   the body's distinct keys, so a solution keeps its multiplicity.
   The keys are the variables bound in every solution of both sides
-  (SQL ``[NOT] EXISTS`` with equality); sharing none is an error.
+  (SQL ``[NOT] EXISTS`` with equality); sharing none is an error,
+  and so is sharing one that a side may leave unbound.
 * ``union`` — the branches concatenated, each padded to the union's
   variables with typed NULLs.
 * ``group`` — GROUP BY + aggregates + HAVING
@@ -100,6 +101,12 @@ Refused, each for a reason (loud errors, never a silent misplan):
   sequence on the driver in the middle of the plan.
 * GROUP_CONCAT separators other than ``"|"``: the engine pins it.
 * Cartesian patterns: a group's patterns must share variables.
+* A MINUS / EXISTS body sharing a variable with the main pattern
+  that either side may leave unbound (OPTIONAL, UNION, BIND): SPARQL
+  compares it per solution, which no equality key can express, so
+  dropping it from the keys would keep or remove wrong rows.
+* GRAPH in a CONSTRUCT / DELETE / INSERT template (including the
+  ``DELETE WHERE`` shorthand): the template bodies write triples.
 * Path operators over a variable predicate (``?p+`` / ``^?p`` /
   ``?p|q``) and nested GRAPH groups.
 """
@@ -983,6 +990,15 @@ def _group_node(g: dict, extra_binds=()) -> _Node:
                 raise ValueError(
                     f"{name} patterns share no variable with the "
                     "required main patterns")
+            loose = [v for v in node.vars
+                     if v in right.vars and v not in keys]
+            if loose:
+                # a shared variable that one side may leave unbound is
+                # no equality key: SPARQL compares it per solution
+                raise NotImplementedError(
+                    f"{name} shares ?{', ?'.join(loose)} with the main "
+                    "pattern, but not every solution of both binds it "
+                    "(OPTIONAL, UNION or BIND)")
             node = _Node(kind, (node, right), node.vars, node.sure, keys)
     return node
 
@@ -1084,6 +1100,11 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
     g = q["group"]
 
     walk = list(_clauses(q))
+    if any(len(tuple(p)) == 4 for clause, p in walk
+           if clause in _UNSCANNED):
+        raise NotImplementedError(
+            "GRAPH patterns are not supported in CONSTRUCT / DELETE / "
+            "INSERT templates (a template writes triples)")
 
     # closure paths (p+ / p*) outside the required pattern block are
     # out of scope — loud errors, never a silent misplan. Nested group

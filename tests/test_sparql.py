@@ -167,6 +167,27 @@ class TestOtherForms:
             got = run_sparql(tr, PRE + q % clause).take_all()
             assert sorted(r["p"] for r in got) == want, clause
 
+    @pytest.mark.parametrize("clause", ["MINUS", "FILTER EXISTS",
+                                        "FILTER NOT EXISTS"])
+    @pytest.mark.parametrize("q", [
+        # the UNION body binds ?y in one branch only
+        "SELECT ?x WHERE { ?x <p> ?y %s { { ?x <q> ?y } UNION "
+        "{ ?x <r> ?w } } }",
+        # the body's OPTIONAL binds ?y
+        "SELECT ?x WHERE { ?x <p> ?y %s { ?x <q> ?z "
+        "OPTIONAL { ?z <r> ?y } } }",
+        # the main OPTIONAL binds ?z
+        "SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z } "
+        "%s { ?x <r> ?z } }",
+    ])
+    def test_negation_on_a_maybe_unbound_shared_var_is_loud(self, q,
+                                                            clause):
+        # SPARQL compares such a variable per solution; as an equality
+        # key it would be wrong, and dropped from the keys a left row
+        # (x=a, y=1) would meet a body row (x=a, y=2) as compatible
+        with pytest.raises(NotImplementedError, match="not every"):
+            run_sparql(_triples(), q % clause)
+
     def test_aggregate_group_by_having(self):
         tr = _triples()
         got = run_sparql(tr, PRE + """
@@ -216,6 +237,7 @@ class TestParserErrors:
          SyntaxError),
         ('SELECT (GROUP_CONCAT(?v; SEPARATOR=";") AS ?a) '
          'WHERE { ?x <p> ?v }', NotImplementedError),
+        ("DELETE WHERE { GRAPH ?g { ?s <p> ?o } }", NotImplementedError),
     ])
     def test_loud_errors(self, q, err):
         with pytest.raises(err):
@@ -393,6 +415,16 @@ class TestClosureForms:
         assert page1["n"].tolist() == ["NC", "ND"]
         # past-the-end page is empty
         assert len(run_sparql(self._chain(), q % 4).to_pandas()) == 0
+
+    def test_offset_page_of_no_solutions_keeps_its_schema(self):
+        import pyarrow as pa
+
+        out = run_sparql(self._chain(), PRE + """
+            SELECT ?s ?n WHERE { ?s ex:name ?n FILTER (?n = "zzz") }
+            ORDER BY ?n LIMIT 2 OFFSET 1""")
+        assert out.count() == 0
+        assert out.schema().base_schema == pa.schema(
+            [("s", pa.string()), ("n", pa.string())])
 
     def test_offset_requires_order_and_limit(self):
         with pytest.raises(NotImplementedError):
@@ -1065,22 +1097,11 @@ class TestBroadcastCountShortcut:
             rows, columns=["subj", "pred", "obj"]))
 
     def _run(self, monkeypatch, **kw):
-        from ray.data._internal.execution.streaming_executor import \
-            StreamingExecutor
-
         from rdf_extraction_ray.stages.graph import bgp_match
-        runs = []
-        execute = StreamingExecutor.execute
-
-        def counted(self, *args, **kwargs):
-            runs.append(1)
-            return execute(self, *args, **kwargs)
 
         tr = self._graph().materialize()
-        monkeypatch.setattr(StreamingExecutor, "execute", counted)
-        got = _canon(bgp_match(tr, self.PATS, **kw))
-        monkeypatch.setattr(StreamingExecutor, "execute", execute)
-        return got, len(runs)
+        return _count_executions(
+            monkeypatch, lambda: _canon(bgp_match(tr, self.PATS, **kw)))
 
     def test_same_rows_one_job_fewer(self, monkeypatch):
         default, n_default = self._run(monkeypatch)
