@@ -4952,8 +4952,9 @@ def _q_kg_sparql_path_alt(sf_dir: str):
     synthetic edge relation (forward rows kept, inverse rows swapped
     — a single stateless pass) that feeds the same dual-path closure;
     with the predicate and its inverse this is WEAK (undirected)
-    reachability from a constant origin, composed here with a BIND to
-    exercise the derived-relation path. The origin is the
+    reachability from a constant origin, composed here with a BIND
+    over the path's variable (applied above the ``path`` node). The
+    origin is the
     lexicographically smallest relationship subject, computed by the
     same bounded min the bfs seeds use."""
     from rdf_extraction_ray.stages.sparql import run_sparql
@@ -4982,18 +4983,17 @@ def _q_kg_sparql_path_alt(sf_dir: str):
 def _q_kg_sparql_path_inverse(sf_dir: str):
     """Textual INVERSE closure ``^p+`` composed with a pattern
     (round-4 grammar closure): one stateless subj/obj swap feeds the
-    same dual-path closure, whose (start, node) pairs join the BGP
-    plan as a derived relation. ``?x ^p+ ?y`` ≡ ``?y p+ ?x``, so the
-    oracle replays the forward recursive CTE with the roles
-    swapped."""
+    same dual-path closure, whose ``path`` node joins the pattern
+    leaf. ``?x ^p+ ?y`` ≡ ``?y p+ ?x``, so the oracle replays the
+    forward recursive CTE with the roles swapped."""
     from rdf_extraction_ray.stages.sparql import run_sparql
     return run_sparql(_triples_view(sf_dir), _SPARQL_INV_TEXT)
 
 
 def _q_kg_sparql_path_star(sf_dir: str):
     """Textual ``p*`` (zero-or-more, round-4 grammar closure): the
-    single-pattern star dispatches to the dual-path ``path_closure``
-    unioned with the zero-length URI-term self-pairs and one
+    star's ``path`` node is the dual-path ``path_closure`` unioned
+    with the zero-length URI-term self-pairs and one
     pair-hash dedup exchange — the same plan as kg_path_star, now
     reachable from the query STRING surface
     (stages/sparql.py:_closure_pairs). Reference analogue: arbitrary
@@ -5055,10 +5055,10 @@ def _q_kg_sparql_graph(sf_dir: str):
 
 def _q_kg_sparql_path_compose(sf_dir: str):
     """Textual ``p+`` COMPOSED with another pattern (round-4 grammar
-    closure): the closure joins the BGP plan as a derived relation
-    under a synthetic predicate (stages/sparql.py:_compose_closures)
-    — the planner is unchanged and the only exchanges are the
-    closure's own plus the ordinary BGP hash join."""
+    closure): the closure is a ``path`` node of the algebra
+    (stages/sparql.py:_group_node), joined with the pattern leaf by
+    the one solution join — the only exchanges are the closure's own
+    plus that join."""
     from rdf_extraction_ray.stages.sparql import run_sparql
     return run_sparql(_triples_view(sf_dir), _SPARQL_COMPOSE_TEXT)
 

@@ -2164,16 +2164,24 @@ def _leaf_vars(patterns, optional=None, binds=None) -> list[str]:
 
 def _filter_mask(df: pd.DataFrame, filters) -> np.ndarray:
     """The rows of ``df`` that pass every FILTER ``(lhs, op, rhs)``; a
-    comparison touching an unbound (NULL) side drops the row."""
+    comparison touching an unbound (NULL) side drops the row. A
+    constant compared with a numeric column (an aggregate) is read as
+    a number."""
+    def _side(t, other):
+        if _is_var(t):
+            return df[t[1:]]
+        if _is_var(other) and pd.api.types.is_numeric_dtype(df[other[1:]]):
+            return float(t)
+        return t
+
     m = pd.Series(True, index=df.index)
     for lhs, op, rhs in filters:
-        a = (df[lhs[1:]] if _is_var(lhs)
-             else pd.Series(lhs, index=df.index))
+        a, b = _side(lhs, rhs), _side(rhs, lhs)
+        if not _is_var(lhs):
+            a = pd.Series(a, index=df.index)
+        mask = _FILTER_OPS[op](a, b) & a.notna()
         if _is_var(rhs):
-            b = df[rhs[1:]]
-            mask = _FILTER_OPS[op](a, b) & a.notna() & b.notna()
-        else:
-            mask = _FILTER_OPS[op](a, rhs) & a.notna()
+            mask &= b.notna()
         m &= mask.astype(bool)
     return m.to_numpy()
 
@@ -2314,12 +2322,12 @@ def _bgp_leaf(triples: rd.Dataset, patterns, select: list[str],
                    if set(x[0]) <= set(acc_vars)]
         for x in ready_v:
             pending_vals.remove(x)
+        schema = _str_schema(acc_vars)
         if ready:
             acc = acc.map_batches(
-                lambda df: df[_filter_mask(df, ready)].reset_index(
-                    drop=True),
-                batch_format="pandas")
-        schema = _str_schema(acc_vars)
+                lambda t: t.select(acc_vars).cast(schema).filter(
+                    pa.array(_filter_mask(t.to_pandas(), ready))),
+                batch_format="pyarrow")
         for vvars, vtab in ready_v:
             acc = acc.map_batches(
                 lambda df, vvars=vvars, vtab=vtab: merge_sides(
@@ -2577,13 +2585,25 @@ def _bgp_leaf(triples: rd.Dataset, patterns, select: list[str],
     return acc
 
 
+class _Solutions(rd.Dataset):
+    """A query result whose ``to_pandas()`` keeps its columns when it
+    holds no rows (Ray's iterates the rows' blocks only, so an empty
+    result would convert to a frame without columns)."""
+
+    def to_pandas(self, limit: int | None = None) -> pd.DataFrame:
+        df = super().to_pandas(limit=limit)
+        return df if len(df.columns) else self._empty.to_pandas()
+
+
 def _seeded(ds: rd.Dataset, schema: pa.Schema) -> rd.Dataset:
     """``ds`` led by a typed zero-row block, so that zero solutions
-    still carry the schema. A materialized Dataset (a driver-built
-    result) already carries it and is returned as it is."""
-    if isinstance(ds, MaterializedDataset):
-        return ds
-    return rd.from_arrow(schema.empty_table()).union(ds)
+    still carry the schema (a materialized Dataset, a driver-built
+    result, already carries it), as a :class:`_Solutions`."""
+    if not isinstance(ds, MaterializedDataset):
+        ds = rd.from_arrow(schema.empty_table()).union(ds)
+    out = rd.Dataset.copy(ds, _as=_Solutions)
+    out._empty = schema.empty_table()
+    return out
 
 
 def _modifiers(acc: rd.Dataset, out_schema: pa.Schema,
@@ -2646,10 +2666,8 @@ def _modifiers(acc: rd.Dataset, out_schema: pa.Schema,
         acc = acc.limit(int(limit))
 
     if offset:
-        # a zero-row result converts to a frame without columns
-        page = (_seeded(acc, out_schema).to_pandas().iloc[offset:]
-                .reindex(columns=select))
-        return rd.from_arrow(pa.Table.from_pandas(
+        page = _seeded(acc, out_schema).to_pandas().iloc[offset:]
+        acc = rd.from_arrow(pa.Table.from_pandas(
             page, schema=out_schema,
             preserve_index=False).replace_schema_metadata(None))
     return _seeded(acc, out_schema)

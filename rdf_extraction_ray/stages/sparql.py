@@ -31,14 +31,8 @@ Supported grammar (every form raises a precise error outside it):
   (zero-or-more; zero-length pairs are the graph's URI terms paired
   with themselves), over a forward or inverse (``^p``) predicate or
   a parenthesized alternation of those (``(p1|^p2)+`` — e.g. ``p``
-  with its inverse gives weak/undirected reachability): alone they
-  dispatch straight to
-  :func:`graph.path_closure` (constant subject/object slots restrict
-  the origin set / filter the closure end); COMPOSED with other
-  patterns in a SELECT / ASK / CONSTRUCT, the closure joins the BGP
-  plan as a derived relation under a synthetic predicate
-  (:func:`_compose_closures`) — no planner change, zero extra
-  exchanges beyond the closure itself.
+  with its inverse gives weak/undirected reachability), in any group
+  and any query form: each is a ``path`` node of the algebra (below).
 * Query forms SELECT, ASK, CONSTRUCT, DESCRIBE ?v, and the update
   form ``DELETE { } INSERT { } WHERE { }`` (either template optional;
   ``DELETE WHERE { }`` shorthand).
@@ -63,8 +57,16 @@ Evaluation. Every query form translates into one algebra tree
   and BIND: one :func:`graph.bgp_match` plan without solution
   modifiers. Every group is a leaf: the outer group, each UNION
   branch, each MINUS / EXISTS body and each subquery body.
-* ``join`` — a subquery: the leaf joined with the evaluated inner
-  SELECT on their shared variables.
+* ``path`` — one ``p+`` / ``p*`` pattern: the (start, node) relation
+  of :func:`graph.path_closure` named by the pattern's variables (a
+  constant subject restricts the origins, a constant object or one
+  variable at both ends filters it).
+* ``join`` — a path or a subquery joined with the rest of its group
+  on their shared variables; ``left`` — the same for a path or
+  pattern under OPTIONAL that meets a path's variables.
+* ``filter`` — the group's BIND, FILTER and VALUES clauses that name
+  a variable the leaf does not bind (a path's or a subquery's), over
+  the joined group.
 * ``anti`` — MINUS and FILTER NOT EXISTS: an anti join against the
   body's distinct keys. ``semi`` — FILTER EXISTS: an inner join on
   the body's distinct keys, so a solution keeps its multiplicity.
@@ -86,15 +88,6 @@ side's row count.
 
 Refused, each for a reason (loud errors, never a silent misplan):
 
-* p+/p* outside the outer required block: a nested leaf would read
-  the closure as a one-hop alternation.
-* p+/p* with a variable predicate anywhere in the query: the composed
-  scan holds the closure's synthetic predicates, which an unfiltered
-  ``?p`` would match.
-* p+/p* with GRAPH anywhere in the query: the composed scan projects
-  the graph column away.
-* p+/p* composed in DESCRIBE or an update: those return graph
-  triples, which the derived closure relation would pollute.
 * OFFSET without ORDER BY + LIMIT: an unordered page is
   nondeterministic; the page is cut on the driver from the top-k.
 * OFFSET inside a subquery: that page cut would collect the inner
@@ -105,10 +98,13 @@ Refused, each for a reason (loud errors, never a silent misplan):
   that either side may leave unbound (OPTIONAL, UNION, BIND): SPARQL
   compares it per solution, which no equality key can express, so
   dropping it from the keys would keep or remove wrong rows.
-* GRAPH in a CONSTRUCT / DELETE / INSERT template (including the
-  ``DELETE WHERE`` shorthand): the template bodies write triples.
+* GRAPH or a property path in a CONSTRUCT / DELETE / INSERT
+  template (including the ``DELETE WHERE`` shorthand): the template
+  bodies write plain triples.
+* A group with no required pattern (empty, or OPTIONAL only).
 * Path operators over a variable predicate (``?p+`` / ``^?p`` /
-  ``?p|q``) and nested GRAPH groups.
+  ``?p|q``), ``p+`` / ``p*`` inside GRAPH (a closure per graph) and
+  nested GRAPH groups.
 """
 
 from __future__ import annotations
@@ -738,6 +734,15 @@ class _Parser:
                 q["group"] = self.parse_group()
         else:
             raise SyntaxError(f"unknown query form {kw!r}")
+        for p in (q["template"] or []) + (q["delete"] or []) \
+                + (q["insert"] or []):
+            # a template writes plain triples (the DELETE WHERE
+            # shorthand is the one that can bring GRAPH or a path here)
+            if len(p) == 4 or not isinstance(p[1], str) \
+                    or p[1].startswith("^"):
+                raise NotImplementedError(
+                    "a CONSTRUCT / DELETE / INSERT template writes plain "
+                    "triples: no GRAPH and no property path")
         if self._peek()[0] != "eof":
             raise SyntaxError(
                 f"trailing tokens from {self._peek()[1]!r}")
@@ -757,10 +762,6 @@ def _is_closure_term(t) -> bool:
     """Is this PREDICATE term a parsed closure (``p+`` / ``p*``)?"""
     return isinstance(t, tuple) and len(t) == 2 \
         and t[0] in _CLOSURE_MARKS
-
-
-def _is_closure(p) -> bool:
-    return _is_closure_term(p[1])
 
 
 def _closure_pairs(G, triples, pred, star: bool,
@@ -838,84 +839,22 @@ def _closure_pairs(G, triples, pred, star: bool,
     return G.distinct_rows(clo.union(zero), pair_schema, n_buckets)
 
 
-def _compose_closures(G, triples, patterns, n_buckets: int):
-    """Rewrite closure patterns as DERIVED RELATIONS joined into the
-    BGP plan: each ``(s, p+/p*, o)`` pattern's (start, node) pairs
-    become triple rows under a synthetic predicate, unioned with the
-    base scan (projected to subj/pred/obj — the only columns the BGP
-    planner reads), and the pattern becomes an ordinary constant-
-    predicate pattern over that predicate. The closure exchanges stay
-    inside :func:`graph.path_closure`; the union adds zero extra
-    shuffles."""
-    import pyarrow as pa
-
-    base = triples.map_batches(
-        lambda t: t.select(["subj", "pred", "obj"]),
-        batch_format="pyarrow")
-    aug = base
-    out_pats = []
-    for i, pat in enumerate(patterns):
-        if not _is_closure(pat):
-            out_pats.append(pat)
-            continue
-        s, (mark, pred), o = pat
-        syn = f"urn:x-sparql-closure:{i}"
-        pairs = _closure_pairs(
-            G, triples, pred, star=mark == "__closure_star__",
-            start_const=None if s.startswith("?") else s,
-            n_buckets=n_buckets)
-
-        def _to_triples(t, syn=syn):
-            return pa.table({
-                "subj": t.column("start").cast(pa.string()),
-                "pred": pa.array([syn] * len(t), pa.string()),
-                "obj": t.column("node").cast(pa.string())})
-
-        aug = aug.union(pairs.map_batches(_to_triples,
-                                          batch_format="pyarrow"))
-        out_pats.append((s, syn, o))
-    return aug, out_pats
-
-
-#: clauses whose patterns no scan matches: the templates
-_UNSCANNED = ("template", "delete", "insert")
-
-
-def _clauses(q: dict):
-    """Every pattern of the query, with its clause: ``patterns`` and
-    ``optional`` for the outer group's required and OPTIONAL blocks, a
-    nested group's clause behind the path of clauses holding it
-    (``minus.``, ``exists.``, ``not_exists.``, ``union.``, ``sub.``,
-    e.g. ``union.patterns``), and the templates ``template`` /
-    ``delete`` / ``insert``."""
-    def _walk(g: dict, prefix: str):
-        for clause in ("patterns", "optional"):
-            for p in g[clause]:
-                yield prefix + clause, p
-        for clause in ("minus", "exists", "not_exists", "union"):
-            for sub in g[clause] or []:
-                yield from _walk(sub, f"{prefix}{clause}.")
-        for sub in g["subquery"]:
-            yield from _walk(sub["group"], prefix + "sub.")
-
-    yield from _walk(q["group"], "")
-    for clause in ("template", "delete", "insert"):
-        for p in q[clause] or []:
-            yield clause, p
-
-
 class _Node(NamedTuple):
     """One node of a query's algebra tree (SPARQL 1.1 §18).
 
     ``kind`` is ``leaf`` (a group's patterns, OPTIONAL, FILTER, VALUES
-    and BIND: one :func:`graph.bgp_match` plan), ``join`` (a subquery),
-    ``anti`` (MINUS / FILTER NOT EXISTS), ``semi`` (FILTER EXISTS),
-    ``union``, ``group`` (GROUP BY + aggregates + HAVING) or
-    ``modifiers`` (projection, DISTINCT, ORDER BY, LIMIT, OFFSET).
-    ``vars`` are the variables it binds, in first-appearance order;
-    ``sure`` are those bound in every solution, the only ones a MINUS
-    or EXISTS may join on. ``arg``: a leaf's group, the join keys, the
-    grouping ``(group_by, aggs, having)`` or the query's modifiers."""
+    and BIND: one :func:`graph.bgp_match` plan), ``path`` (a ``p+`` /
+    ``p*`` pattern), ``join`` (a path or a subquery), ``left`` (a path
+    or pattern under OPTIONAL), ``filter`` (BIND, FILTER and VALUES
+    over the joined group), ``anti`` (MINUS / FILTER NOT EXISTS),
+    ``semi`` (FILTER EXISTS), ``union``, ``group`` (GROUP BY +
+    aggregates + HAVING) or ``modifiers`` (projection, DISTINCT, ORDER
+    BY, LIMIT, OFFSET). ``vars`` are the variables it binds, in
+    first-appearance order; ``sure`` are those bound in every
+    solution, the only ones a MINUS or EXISTS may join on. ``arg``: a
+    leaf's group, a path's pattern, the join keys, a filter's
+    ``(binds, filters, values)``, the grouping ``(group_by, aggs,
+    having)`` or the query's modifiers."""
     kind: str
     kids: tuple
     vars: list
@@ -950,36 +889,110 @@ def _algebra(q: dict, sub: bool = False) -> _Node:
                  [v for v in node.sure if v in select], q)
 
 
+def _joined(kind: str, left: _Node, right: _Node) -> _Node:
+    """``left`` joined (``join``) or left-joined (``left``) with
+    ``right`` on their shared variables."""
+    on = [v for v in right.vars if v in left.vars]
+    if not on:
+        raise ValueError(
+            "a path, subquery or OPTIONAL pattern shares no variable "
+            "with the rest of its group (cartesian products are not "
+            "supported)")
+    sure = left.sure + on + right.sure if kind == "join" else left.sure
+    return _Node(kind, (left, right),
+                 left.vars + [v for v in right.vars if v not in on],
+                 list(dict.fromkeys(sure)), on)
+
+
+def _refs(binds=(), filters=(), values=None) -> list[str]:
+    """The variables that BIND expressions, FILTERs and VALUES read."""
+    from rdf_extraction_ray.stages.graph import _bind_expr_vars, _is_var
+
+    return [v for e, _ in binds for v in _bind_expr_vars(e)] + [
+        t[1:] for f in filters for t in (f[0], f[2]) if _is_var(t)] + [
+        v[1:] for v in (values[0] if values else [])]
+
+
 def _group_node(g: dict, extra_binds=()) -> _Node:
     """One ``{ }`` group: a UNION of its branches, or its leaf joined
-    with its subqueries, then semi-joined with its FILTER EXISTS
-    bodies and anti-joined with its FILTER NOT EXISTS and MINUS
-    bodies. ``extra_binds`` are the SELECT's projection expressions,
-    evaluated in the leaf (of every branch, for a UNION)."""
+    with its ``p+`` / ``p*`` paths and its subqueries, left-joined with
+    the OPTIONAL paths and patterns that meet a path's variables, under
+    the BIND, FILTER and VALUES clauses that name a variable the leaf
+    does not bind; then semi-joined with its FILTER EXISTS bodies and
+    anti-joined with its FILTER NOT EXISTS and MINUS bodies.
+    ``extra_binds`` are the SELECT's projection expressions, evaluated
+    like the group's BINDs (in every branch, for a UNION)."""
+    from rdf_extraction_ray.stages.graph import _leaf_vars, _pattern_vars
+
     if g["union"]:
         kids = tuple(_group_node(b, extra_binds) for b in g["union"])
         return _Node("union", kids,
                      list(dict.fromkeys(v for k in kids for v in k.vars)),
                      [v for v in kids[0].sure
                       if all(v in k.sure for k in kids[1:])])
-    subs = [_algebra(sq, sub=True) for sq in g["subquery"]]
-    if subs and not extra_binds and not any(g[k] for k in _LEAF_CLAUSES):
-        node = subs.pop(0)
-    else:
-        from rdf_extraction_ray.stages.graph import _leaf_vars, \
-            _pattern_vars
-        leaf = dict(g, binds=g["binds"] + list(extra_binds))
-        node = _Node("leaf", (), _leaf_vars(g["patterns"], g["optional"],
-                                            leaf["binds"]),
-                     _pattern_vars(g["patterns"]), leaf)
-    for right in subs:
-        on = [v for v in right.vars if v in node.vars]
-        if not on:
+
+    def _path(pat) -> _Node:
+        vs = _pattern_vars([pat])
+        if not vs:
+            raise NotImplementedError("p+/p* needs a variable end")
+        return _Node("path", (), vs, vs, pat)
+
+    patterns = [p for p in g["patterns"] if not _is_closure_term(p[1])]
+    paths = [_path(p) for p in g["patterns"] if _is_closure_term(p[1])]
+    required = set(_pattern_vars(patterns))
+    # an OPTIONAL pattern meeting a variable the leaf does not bind
+    # (a path's, or a moved optional's) left-joins above the leaf
+    above = {v for p in paths for v in p.vars} - required
+    optional, lefts = [], []
+    for p in g["optional"]:
+        vs = _pattern_vars([p])
+        if _is_closure_term(p[1]) or not patterns or above & set(vs):
+            lefts.append(_path(p) if _is_closure_term(p[1]) else _Node(
+                "leaf", (), vs, vs, dict(g, patterns=[p], optional=[],
+                                         filters=[], values=None, binds=[])))
+            above |= set(vs) - required
+        else:
+            optional.append(p)
+    bound = required | set(_pattern_vars(optional))
+    binds, late_binds = [], []
+    for b in list(g["binds"]) + list(extra_binds):
+        if patterns and set(_refs([b])) <= bound:
+            binds.append(b)
+            bound.add(b[1][1:])
+        else:
+            late_binds.append(b)
+    filters = [f for f in g["filters"] if set(_refs(filters=[f])) <= bound]
+    late = (late_binds, [f for f in g["filters"] if f not in filters],
+            None if set(_refs(values=g["values"])) <= required
+            else g["values"])
+
+    leaf = dict(g, patterns=patterns, optional=optional, binds=binds,
+                filters=filters, values=None if late[2] else g["values"])
+    parts = [_Node("leaf", (), _leaf_vars(patterns, optional, binds),
+                   _pattern_vars(patterns), leaf)] \
+        if any(leaf[k] for k in _LEAF_CLAUSES) else []
+    parts += paths + [_algebra(sq, sub=True) for sq in g["subquery"]]
+    if not parts:
+        raise NotImplementedError(
+            "a group needs a required pattern (an empty group, or one "
+            "of only OPTIONAL patterns, is not supported)")
+    node, rest = parts[0], parts[1:]
+    while rest:
+        # greedy-connected, in query order
+        right = next((r for r in rest if set(r.vars) & set(node.vars)),
+                     rest[0])
+        rest.remove(right)
+        node = _joined("join", node, right)
+    for right in lefts:
+        node = _joined("left", node, right)
+    if any(late):
+        outs = [out[1:] for _, out in late_binds]
+        bad = [v for v in _refs(*late) if v not in node.vars + outs] + [
+            v for v in outs if v in node.vars]
+        if bad:
             raise ValueError(
-                "subquery shares no variable with the outer pattern")
-        node = _Node("join", (node, right),
-                     node.vars + [v for v in right.vars if v not in on],
-                     list(dict.fromkeys(node.sure + on + right.sure)), on)
+                f"?{bad[0]} is bound by no pattern, or BIND rebinds it")
+        node = _Node("filter", (node,), node.vars + outs, node.sure, late)
     for clause, kind, name in (("exists", "semi", "EXISTS"),
                                ("not_exists", "anti", "NOT EXISTS"),
                                ("minus", "anti", "MINUS")):
@@ -1018,7 +1031,9 @@ def _evaluate(G, triples, node: _Node, need: list[str], n_buckets: int):
     one evaluator of every query form. Each join is
     :func:`graph._solution_join`, whose right side is materialized so
     that its row count picks broadcast or exchange."""
+    import pandas as pd
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     bad = [v for v in need if v not in node.vars]
     if bad:
@@ -1034,6 +1049,51 @@ def _evaluate(G, triples, node: _Node, need: list[str], n_buckets: int):
             filters=g["filters"] or None, values=g["values"],
             binds=g["binds"] or None, n_buckets=n_buckets,
             broadcast_rows=G._BROADCAST_ROWS), G._str_schema(need)
+    if node.kind == "path":
+        # the (start, node) closure relation named by the pattern's
+        # variables; a constant end, or one variable at both ends,
+        # filters it
+        s, (mark, pred), o = node.arg
+        schema = G._str_schema(need)
+        pairs = _closure_pairs(G, triples, pred, mark == "__closure_star__",
+                               None if G._is_var(s) else s, n_buckets)
+
+        def _bind(t):
+            if not G._is_var(o):
+                t = t.filter(pc.equal(t["node"], o))
+            elif o == s:
+                t = t.filter(pc.equal(t["start"], t["node"]))
+            cols = {o[1:]: t["node"]} if G._is_var(o) else {}
+            if G._is_var(s):
+                cols[s[1:]] = t["start"]
+            return pa.table([cols[v] for v in need], schema=schema)
+
+        return pairs.map_batches(_bind, batch_format="pyarrow"), schema
+    if node.kind == "filter":
+        # BINDs, then FILTERs and the VALUES rows as a row mask
+        binds, filters, values = node.arg
+        kid = node.kids[0]
+        ds, schema = _eval(kid, list(dict.fromkeys(
+            [v for v in need + _refs(*node.arg) if v in kid.vars])))
+        out = pa.schema([schema.field(v) if v in schema.names
+                         else (v, pa.string()) for v in need])
+
+        def _apply(t):
+            df = t.to_pandas()
+            for expr, name in binds:
+                df[name[1:]] = G._eval_bind(df, expr)
+            if filters:
+                df = df[G._filter_mask(df, filters)]
+            if values:
+                rows = [(r,) if isinstance(r, str) else tuple(r)
+                        for r in values[1]]
+                df = df[pd.MultiIndex.from_frame(
+                    df[[v[1:] for v in values[0]]]).isin(rows)]
+            return pa.Table.from_pandas(
+                df[need], schema=out,
+                preserve_index=False).replace_schema_metadata(None)
+
+        return ds.map_batches(_apply, batch_format="pyarrow"), out
     if node.kind == "modifiers":
         q = node.arg
         ds, schema = _eval(node.kids[0], node.vars)
@@ -1066,12 +1126,12 @@ def _evaluate(G, triples, node: _Node, need: list[str], n_buckets: int):
         parts = [ds.map_batches(_pad, batch_format="pyarrow")
                  for ds in parts]
         return parts[0].union(*parts[1:]), schema
-    # join / anti / semi
+    # join / left / anti / semi
     left, right = node.kids
     keys = node.arg
     lds, ls = _eval(left, list(dict.fromkeys(
         [v for v in need if v in left.vars] + keys)))
-    if node.kind == "join":
+    if node.kind in ("join", "left"):
         from rdf_extraction_ray.stages.joins import _join_schema
         rds, rs = _eval(right, list(dict.fromkeys(
             keys + [v for v in need if v in right.vars])))
@@ -1081,10 +1141,9 @@ def _evaluate(G, triples, node: _Node, need: list[str], n_buckets: int):
         rds = G.distinct_rows(rds, rs, n_buckets)
         schema = ls
     rds = rds.materialize()
-    out = G._solution_join(lds, rds, keys,
-                           "anti" if node.kind == "anti" else "inner",
-                           rds.count(), G._BROADCAST_ROWS, n_buckets,
-                           ls, rs)
+    how = {"join": "inner", "semi": "inner"}.get(node.kind, node.kind)
+    out = G._solution_join(lds, rds, keys, how, rds.count(),
+                           G._BROADCAST_ROWS, n_buckets, ls, rs)
     return _project(out, schema, need)
 
 
@@ -1097,108 +1156,6 @@ def run_sparql(triples, text: str, n_buckets: int = 64):
     from rdf_extraction_ray.stages import graph as G
 
     q = parse_sparql(text)
-    g = q["group"]
-
-    walk = list(_clauses(q))
-    if any(len(tuple(p)) == 4 for clause, p in walk
-           if clause in _UNSCANNED):
-        raise NotImplementedError(
-            "GRAPH patterns are not supported in CONSTRUCT / DELETE / "
-            "INSERT templates (a template writes triples)")
-
-    # closure paths (p+ / p*) outside the required pattern block are
-    # out of scope — loud errors, never a silent misplan. Nested group
-    # leaves would read a closure marker tuple as a plain predicate
-    # ALTERNATION, so transitive patterns would silently become
-    # single-hop matches
-    if any(_is_closure(p) for clause, p in walk if clause != "patterns"):
-        raise NotImplementedError(
-            "p+/p* are supported in the required pattern block of "
-            "the (outer) query only")
-
-    closures = [p for p in (g["patterns"] or []) if _is_closure(p)]
-    if closures:
-        # the composed plan unions closure pairs into the scanned
-        # triple set under synthetic predicates and projects it to
-        # (subj, pred, obj) — two whole-query shapes cannot share
-        # that scan and must stay loud:
-        # 1. GRAPH quads anywhere (the projection drops the graph
-        #    column → a misleading runtime error),
-        # 2. VARIABLE predicates anywhere (the unfiltered scan would
-        #    match the synthetic 'urn:x-sparql-closure:N' rows as if
-        #    they were real triples — silently wrong solutions)
-        #    — every nested group scans the same augmented set, so
-        #    its patterns count too (templates are not scanned)
-        scanned = [p for clause, p in walk
-                   if clause.rpartition(".")[2] not in _UNSCANNED]
-        if any(len(tuple(p)) == 4 for p in scanned):
-            raise NotImplementedError(
-                "GRAPH patterns do not compose with p+/p* (the "
-                "closure union projects the graph column away)")
-        if any(isinstance(p[1], str) and p[1].startswith("?")
-               for p in scanned):
-            raise NotImplementedError(
-                "variable predicates do not compose with p+/p* "
-                "(the unfiltered scan would match the derived "
-                "closure relation's synthetic predicates)")
-        simple = (
-            q["form"] == "select" and len(g["patterns"]) == 1
-            and not any(g[k] for k in ("optional", "filters", "binds"))
-            and not g["union"] and not g["minus"] and not g["exists"]
-            and not g["not_exists"] and not g["values"]
-            and not g["subquery"] and not q["aggs"]
-            and not q["order_by"] and q["limit"] is None
-            and q["offset"] is None)
-        if simple:
-            # the direct dispatch additionally requires a shape whose
-            # result IS the (already set-distinct) closure relation:
-            # distinct endpoint slots (?x p+ ?x needs the planner's
-            # same-variable equality), a projection that keeps every
-            # bound variable (a strict subset would need a dedup
-            # under DISTINCT and bgp_match's loud unbound-var check
-            # otherwise) — anything else routes through the composed
-            # path, where bgp_match applies the full solution
-            # semantics
-            s, (mark, pred), o = g["patterns"][0]
-            svar = s[1:] if s.startswith("?") else None
-            ovar = o[1:] if o.startswith("?") else None
-            bound = {v for v in (svar, ovar) if v}
-            sel = q["select"]
-            simple = (
-                (svar is None or svar != ovar)
-                and (sel is None or set(sel) == bound))
-        if simple:
-            out = _closure_pairs(
-                G, triples, pred, star=mark == "__closure_star__",
-                start_const=None if s.startswith("?") else s,
-                n_buckets=n_buckets)
-            # closure columns are (start, node); map them to the
-            # pattern's variables (a constant slot filters instead) —
-            # one zero-copy Arrow pass does filter + rename + project
-            names = {"start": s[1:] if s.startswith("?") else None,
-                     "node": o[1:] if o.startswith("?") else None}
-            keep = q["select"] or [v for v in names.values() if v]
-            keep = [v for v in keep if v in names.values()]
-
-            def _shape(t, o=o, names=names, keep=keep):
-                import pyarrow as pa
-                import pyarrow.compute as pc
-                if names["node"] is None:  # ?x p+ <const o>
-                    t = t.filter(pc.equal(t.column("node"), o))
-                cols = {v: t.column(c) for c, v in names.items() if v}
-                return pa.table({v: cols[v] for v in keep}).cast(
-                    pa.schema([(v, pa.string()) for v in keep]))
-
-            return out.map_batches(_shape, batch_format="pyarrow")
-        if q["form"] not in ("select", "ask", "construct"):
-            raise NotImplementedError(
-                "p+/p* compose with other patterns in SELECT / ASK / "
-                "CONSTRUCT only (DESCRIBE and updates return graph "
-                "triples, which a derived closure relation would "
-                "pollute)")
-        triples, g["patterns"] = _compose_closures(
-            G, triples, g["patterns"], n_buckets)
-
     root = _algebra(q)
 
     def solutions(need: list[str]):

@@ -188,6 +188,23 @@ class TestOtherForms:
         with pytest.raises(NotImplementedError, match="not every"):
             run_sparql(_triples(), q % clause)
 
+    @pytest.mark.parametrize("clause", [
+        'FILTER (?p = "zzz")',
+        "FILTER EXISTS { ?p ex:nowhere ?x }",
+        "MINUS { ?ev ex:died ?p }",
+    ], ids=["filter", "exists", "minus"])
+    def test_zero_row_result_keeps_its_columns(self, clause):
+        import pyarrow as pa
+
+        out = run_sparql(_triples(), PRE + """
+            SELECT ?ev ?p WHERE { ?ev ex:died ?p %s }""" % clause)
+        want = pa.schema([("ev", pa.string()), ("p", pa.string())])
+        assert out.schema().base_schema == want
+        df = out.to_pandas()
+        assert len(df) == 0
+        assert list(df.columns) == ["ev", "p"]
+        assert df.dtypes.tolist() == [object, object]
+
     def test_aggregate_group_by_having(self):
         tr = _triples()
         got = run_sparql(tr, PRE + """
@@ -238,6 +255,9 @@ class TestParserErrors:
         ('SELECT (GROUP_CONCAT(?v; SEPARATOR=";") AS ?a) '
          'WHERE { ?x <p> ?v }', NotImplementedError),
         ("DELETE WHERE { GRAPH ?g { ?s <p> ?o } }", NotImplementedError),
+        ("DELETE WHERE { ?s <p>+ ?o }", NotImplementedError),
+        ("CONSTRUCT { ?o ^<p> ?s } WHERE { ?s <p> ?o }",
+         NotImplementedError),
     ])
     def test_loud_errors(self, q, err):
         with pytest.raises(err):
@@ -324,23 +344,141 @@ class TestClosurePath:
             SELECT ?s WHERE { ?s ex:p+ "c" }""").to_pandas()
         assert sorted(got["s"]) == ["a", "b"]
 
-    def test_closure_out_of_scope_forms_are_loud(self):
-        # composition and p* are supported since round 4
-        # (TestClosureForms); closures in auxiliary blocks and in
-        # graph-returning forms stay loud
-        tr = _triples()
-        with pytest.raises(NotImplementedError):
-            run_sparql(tr, PRE + """
-                SELECT ?s WHERE { ?s ex:q ?t .
-                                  MINUS { ?s ex:p+ ?t } }""")
-        with pytest.raises(NotImplementedError):
-            run_sparql(tr, PRE + """
-                DESCRIBE ?s WHERE { ?s ex:p+ ?t . ?t ex:q ?u }""")
+
+#: the ``<p>+`` closure of table ``t`` as relation ``c(start, node)``
+_CLOSURE_SQL = """
+    WITH RECURSIVE e AS (SELECT DISTINCT subj AS s, obj AS o FROM t
+                         WHERE pred = 'p'),
+    c(start, node) AS (SELECT s, o FROM e
+                       UNION
+                       SELECT c.start, e.o FROM c JOIN e ON c.node = e.s)
+"""
+
+
+class TestPathNode:
+    """A ``p+`` path is one node of the algebra, joined with the rest
+    of its group like a subquery, so every group holds one: checked
+    against a DuckDB recursive-CTE replay on a seeded random quad
+    graph with cycles."""
+
+    @staticmethod
+    def _graph():
+        import numpy as np
+
+        rng = np.random.default_rng(17)
+        n = 48
+        nodes = [f"n{i}" for i in range(8)]
+        graphs = np.array(["g1", "g2", None], dtype=object)
+        return pd.DataFrame({
+            "subj": rng.choice(nodes, n),
+            "pred": rng.choice(["p", "q", "r"], n),
+            "obj": rng.choice(nodes, n),
+            "graph": rng.choice(graphs, n),
+        }).drop_duplicates(ignore_index=True)
+
+    @staticmethod
+    def _replay(df, sql):
+        import duckdb
+
+        con = duckdb.connect()
+        con.register("t", df)
+        return con.sql(_CLOSURE_SQL + sql).df()
+
+    @pytest.mark.parametrize("sparql,sql", [
+        ("SELECT ?s ?m ?u WHERE { ?s <q> ?m OPTIONAL { ?m <p>+ ?u } }",
+         """SELECT a.subj AS s, a.obj AS m, c.node AS u FROM t a
+            LEFT JOIN c ON c.start = a.obj WHERE a.pred = 'q'"""),
+        ("SELECT ?x ?y WHERE { { ?x <p>+ ?y } UNION { ?x ?q ?y } }",
+         """SELECT start AS x, node AS y FROM c
+            UNION ALL SELECT subj, obj FROM t"""),
+        ("SELECT ?s ?o WHERE { ?s <q> ?o MINUS { ?s <p>+ ?o } }",
+         """SELECT subj AS s, obj AS o FROM t WHERE pred = 'q'
+            AND NOT EXISTS (SELECT 1 FROM c WHERE c.start = t.subj
+                            AND c.node = t.obj)"""),
+        ("""SELECT ?x ?n WHERE { ?x <q> ?o .
+              { SELECT ?x (COUNT(*) AS ?n) WHERE { ?x <p>+ ?y }
+                GROUP BY ?x } }""",
+         """SELECT a.subj AS x, k.n FROM t a
+            JOIN (SELECT start, count(*)::BIGINT AS n FROM c
+                  GROUP BY start) k ON k.start = a.subj
+            WHERE a.pred = 'q'"""),
+        ("SELECT ?x ?y ?q ?o WHERE { ?x <p>+ ?y . ?x ?q ?o }",
+         """SELECT c.start AS x, c.node AS y, a.pred AS q, a.obj AS o
+            FROM c JOIN t a ON a.subj = c.start"""),
+        ("SELECT ?x ?y WHERE { ?x <p>+ ?y MINUS { ?x ?q <n3> } }",
+         """SELECT start AS x, node AS y FROM c WHERE NOT EXISTS (
+              SELECT 1 FROM t WHERE t.subj = c.start AND t.obj = 'n3')"""),
+        ("""SELECT ?x ?n WHERE { ?x <p>+ ?y .
+              { SELECT ?x (COUNT(*) AS ?n) WHERE { ?x ?q ?o }
+                GROUP BY ?x } }""",
+         """SELECT c.start AS x, k.n FROM c
+            JOIN (SELECT subj, count(*)::BIGINT AS n FROM t
+                  GROUP BY subj) k ON k.subj = c.start"""),
+        ("SELECT ?x ?y ?g WHERE { ?x <p>+ ?y . GRAPH ?g { ?y <q> ?z } }",
+         """SELECT c.start AS x, c.node AS y, a.graph AS g
+            FROM c JOIN t a ON a.subj = c.node
+            WHERE a.pred = 'q' AND a.graph IS NOT NULL"""),
+        ("""SELECT ?x ?y ?g WHERE { ?x <p>+ ?y .
+              OPTIONAL { GRAPH ?g { ?x <q> ?z } } }""",
+         """SELECT c.start AS x, c.node AS y, a.graph AS g FROM c
+            LEFT JOIN t a ON a.subj = c.start AND a.pred = 'q'
+              AND a.graph IS NOT NULL"""),
+        ("DESCRIBE ?s WHERE { ?s <p>+ ?m . ?m <q> ?u }",
+         """SELECT subj, pred, obj FROM t WHERE subj IN (
+              SELECT c.start FROM c JOIN t b ON b.subj = c.node
+              WHERE b.pred = 'q')"""),
+        ("""DELETE { ?x <q> ?z } INSERT { ?x <reach> ?y }
+            WHERE { ?x <p>+ ?y . ?x <q> ?z }""",
+         """SELECT * FROM (
+              SELECT subj, pred, obj FROM t
+              EXCEPT
+              SELECT subj, pred, obj FROM t WHERE pred = 'q'
+                AND subj IN (SELECT start FROM c))
+            UNION
+            SELECT start, 'reach', node FROM c
+            WHERE start IN (SELECT subj FROM t WHERE pred = 'q')"""),
+        ('SELECT ?x ?y WHERE { ?x <p>+ ?y VALUES ?y { "n1" "n2" } }',
+         """SELECT start AS x, node AS y FROM c
+            WHERE node IN ('n1', 'n2')"""),
+        ("""SELECT ?x (STRLEN(?y) AS ?n) WHERE { ?x <p>+ ?y
+              FILTER (?y != "n1") }""",
+         """SELECT start AS x, CAST(length(node) AS VARCHAR) AS n
+            FROM c WHERE node <> 'n1'"""),
+    ], ids=["optional", "union", "minus", "subquery", "varpred",
+            "varpred_minus", "varpred_subquery", "graph", "graph_optional",
+            "describe", "update", "values", "bind_filter"])
+    def test_matches_duckdb(self, sparql, sql):
+        df = self._graph()
+        want = self._replay(df, sql)
+        got = run_sparql(rd.from_pandas(df), sparql).to_pandas()
+        assert len(want)
+        pd.testing.assert_frame_equal(_canon(got[list(want.columns)]),
+                                      _canon(want), check_dtype=False)
+
+    @pytest.mark.parametrize("least", ["1", "3"])
+    def test_filter_over_subquery_output(self, least):
+        # ?n is bound by the subquery only: the FILTER applies above
+        # the join, and reads its constant as a number against COUNT
+        df = self._graph()
+        want = self._replay(df, f"""
+            SELECT a.subj AS s, k.n FROM t a
+            JOIN (SELECT subj, count(*)::BIGINT AS n FROM t
+                  WHERE pred = 'p' GROUP BY subj) k ON k.subj = a.subj
+            WHERE a.pred = 'q' AND k.n >= {least}""")
+        got = run_sparql(rd.from_pandas(df), f"""
+            SELECT ?s ?n WHERE {{ ?s <q> ?x .
+              {{ SELECT ?s (COUNT(*) AS ?n) WHERE {{ ?s <p> ?o }}
+                 GROUP BY ?s }}
+              FILTER (?n >= "{least}") }}""").to_pandas()
+        assert len(want)
+        pd.testing.assert_frame_equal(_canon(got), _canon(want),
+                                      check_dtype=False)
 
 
 class TestClosureForms:
     """Round-4 grammar closures: p* alone, p+/p* composed with other
-    patterns (derived-relation join), and OFFSET pagination."""
+    patterns (a path node joined with the group), and OFFSET
+    pagination."""
 
     @staticmethod
     def _chain():
@@ -506,18 +644,9 @@ class TestAlternationClosure:
 
 
 class TestReviewRegressionPins:
-    """Round-4 review findings pinned: closure markers and OFFSET must
-    not silently leak into subquery bodies, and the ^p+ oracle shape
-    must agree with the engine on NON-mutual edges."""
-
-    def test_closure_in_subquery_body_is_loud(self):
-        with pytest.raises(NotImplementedError):
-            run_sparql(_triples(), PRE + """
-                SELECT ?o WHERE {
-                  ?s ex:p ?o .
-                  { SELECT ?o (COUNT(?x) AS ?c)
-                    WHERE { ?x ex:next+ ?o } GROUP BY ?o }
-                }""")
+    """Round-4 review findings pinned: OFFSET must not silently leak
+    into subquery bodies, and the ^p+ oracle shape must agree with the
+    engine on NON-mutual edges."""
 
     def test_offset_in_subquery_is_loud(self):
         with pytest.raises(NotImplementedError):
@@ -566,9 +695,9 @@ class TestReviewRegressionPins:
 
 
 class TestClosureFastPathSemantics:
-    """Round-4 review pins: shapes the direct closure dispatch cannot
-    represent must route through the composed path with full
-    solution semantics."""
+    """Round-4 review pins: a path keeps the full solution semantics
+    for one variable at both ends and for a projection that drops one
+    of its variables."""
 
     @staticmethod
     def _chain():
@@ -911,57 +1040,13 @@ class TestRound5Compositions:
 
 class TestRound5ReviewGuards:
     """Round-5 self-review findings, pinned: shapes that would have
-    been silently wrong (or misleadingly failing) must raise loud
-    NotImplementedErrors."""
-
-    def test_varpred_does_not_compose_with_closure(self):
-        # the composed plan unions synthetic closure predicates into
-        # the scan; an unfiltered ?q pattern would match them
-        tr = rd.from_pandas(pd.DataFrame({
-            "subj": ["a", "b"], "pred": ["p", "p"],
-            "obj": ["b", "c"]}))
-        with pytest.raises(NotImplementedError, match="variable"):
-            run_sparql(tr, """
-                SELECT ?x ?q ?o WHERE { ?x <p>+ ?y . ?x ?q ?o }""")
-        # ... and in negation bodies too
-        with pytest.raises(NotImplementedError, match="variable"):
-            run_sparql(tr, """
-                SELECT ?x WHERE { ?x <p>+ ?y .
-                  MINUS { ?x ?q <c> } }""")
-
-    def test_varpred_subquery_does_not_compose_with_closure(self):
-        # the subquery body scans the closure-augmented triples too:
-        # its ?q would count the synthetic closure rows (a silent
-        # 3/2 where 1/1 is right)
-        tr = rd.from_pandas(pd.DataFrame({
-            "subj": ["a", "b"], "pred": ["p", "p"],
-            "obj": ["b", "c"]}))
-        with pytest.raises(NotImplementedError, match="variable"):
-            run_sparql(tr, """
-                SELECT ?x ?n WHERE { ?x <p>+ ?y .
-                  { SELECT ?x (COUNT(*) AS ?n)
-                    WHERE { ?x ?q ?o } GROUP BY ?x } }""")
-        # a UNION group holds no required block for a closure to
-        # compose with; a closure inside a branch is refused
-        with pytest.raises(NotImplementedError, match="required"):
-            run_sparql(tr, """
-                SELECT ?x WHERE { { ?x <p>+ ?y }
-                  UNION { ?x ?q ?o } }""")
+    been silently wrong must raise loud NotImplementedErrors."""
 
     def test_nested_graph_is_loud(self):
         with pytest.raises(NotImplementedError, match="nested"):
             parse_sparql("""
                 SELECT ?g2 WHERE {
                   GRAPH ?g1 { GRAPH ?g2 { ?s <p> ?o } } }""")
-
-    def test_graph_in_optional_does_not_compose_with_closure(self):
-        quads = rd.from_pandas(pd.DataFrame({
-            "subj": ["a"], "pred": ["p"], "obj": ["b"],
-            "graph": ["g1"]}))
-        with pytest.raises(NotImplementedError, match="GRAPH"):
-            run_sparql(quads, """
-                SELECT ?x ?y ?g WHERE { ?x <p>+ ?y .
-                  OPTIONAL { GRAPH ?g { ?x <q> ?z } } }""")
 
 
 def test_ask_and_construct_with_graph_patterns():
